@@ -22,7 +22,13 @@ from .linalg import IntMatrix
 
 def _read_json(args, attr="file"):
     path = getattr(args, attr, None)
-    text = open(path).read() if path else sys.stdin.read()
+    if not path:
+        return json.loads(sys.stdin.read())
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from exc
     return json.loads(text)
 
 

@@ -19,7 +19,6 @@ from .linalg import (
     bezout_combination,
     content,
     det_exact,
-    rational_inverse,
     rational_kernel,
     signature as matrix_signature,
     smith_normal_form,
@@ -123,8 +122,10 @@ class DiscriminantForm:
     """The finite quadratic form on N^vee / N.
 
     Generators are lifted to rational vectors in the ambient coordinates of N;
-    `bilinear` holds pairings of generators mod 1 and `quadratic` their norms
-    mod 2, both as reduced nonnegative fractions.
+    `bilinear` holds pairings of generators mod 1 and `quadratic` their norms,
+    both as reduced nonnegative fractions.  Norms are taken mod 2 when N is
+    even and mod 1 when N is odd: an odd lattice vector can have odd norm, so
+    only the class mod 1 is independent of the lift.
     """
 
     invariant_factors: tuple[int, ...]
@@ -219,30 +220,30 @@ def discriminant_group(n: Lattice) -> DiscriminantForm:
     """Invariant factors and the torsion form of N^vee / N.
 
     With u G v = d in Smith form, the class of u^{-1} e_i generates a Z/d_i
-    component of Z^r / G Z^r; pulling back through G gives rational lifts in
-    N^vee whose pairings mod 1 (norms mod 2) are the discriminant form.
+    component of Z^r / G Z^r; pulling back through G gives the rational lift
+    G^{-1} u^{-1} e_i = v d^{-1} e_i = v_i / d_i in N^vee, whose pairings mod 1
+    (norms mod 2, or mod 1 for odd N) are the discriminant form.
     """
     if not n.is_nondegenerate():
         raise ValueError("discriminant group needs a nondegenerate gram")
     snf = smith_normal_form(n.gram)
-    ginv = rational_inverse(n.gram)
-    uinv = unimodular_inverse(snf.u)
     factors: list[int] = []
-    gens: list[tuple[Fraction, ...]] = []
+    columns: list[tuple[int, ...]] = []
     for i in range(n.rank):
         di = snf.d[i, i]
         if di > 1:
             factors.append(di)
-            lift = ginv.apply(uinv.column(i))
-            gens.append(tuple(lift))
-    gram_rat = RatMatrix.from_int(n.gram)
+            columns.append(snf.v.column(i))
+    gens = tuple(tuple(Fraction(x, di) for x in col) for col, di in zip(columns, factors))
 
-    def pair(x, y):
-        return sum((a * b for a, b in zip(x, gram_rat.apply(y))), Fraction(0))
+    def pair(i, j):
+        return Fraction(n.pairing(columns[i], columns[j]), factors[i] * factors[j])
 
-    bilinear = tuple(tuple(pair(x, y) % 1 for y in gens) for x in gens)
-    quadratic = tuple(pair(x, x) % 2 for x in gens)
-    return DiscriminantForm(tuple(factors), tuple(gens), bilinear, quadratic)
+    norm_mod = 2 if n.is_even() else 1
+    k = len(factors)
+    bilinear = tuple(tuple(pair(i, j) % 1 for j in range(k)) for i in range(k))
+    quadratic = tuple(pair(i, i) % norm_mod for i in range(k))
+    return DiscriminantForm(tuple(factors), gens, bilinear, quadratic)
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +342,25 @@ def reflection(w: Sequence[int], n: Lattice) -> Isometry:
     return Isometry(n, IntMatrix.from_columns(cols, n.rank))
 
 
+def _transvect_columns(columns: list[list[int]], gram: IntMatrix,
+                       f: Sequence[int], a: Sequence[int]) -> None:
+    """Replace every column x by E(f,a)x = x + (x.f)a - (x.a + (a^2/2)(x.f))f.
+
+    Applied to the columns of a matrix g this computes E(f,a) @ g in place.
+    Callers guarantee f isotropic, a orthogonal to f and (a^2)(x.f) even for
+    every column x, so that the result is integral.
+    """
+    gf = gram.apply(f)
+    ga = gram.apply(a)
+    aa = sum(x * y for x, y in zip(a, ga))
+    for x in columns:
+        xf = sum(p * q for p, q in zip(x, gf))
+        xa = sum(p * q for p, q in zip(x, ga))
+        fcoeff = -xa - aa * xf // 2
+        for i, (ai, fi) in enumerate(zip(a, f)):
+            x[i] += xf * ai + fcoeff * fi
+
+
 def eichler_transvection(f: Sequence[int], a: Sequence[int], n: Lattice) -> Isometry:
     """E(f,a): x -> x + (x.f)a - (x.a)f - (a^2/2)(x.f)f for isotropic f, a._|_f.
 
@@ -354,18 +374,14 @@ def eichler_transvection(f: Sequence[int], a: Sequence[int], n: Lattice) -> Isom
     if n.pairing(a, f) != 0:
         raise ValueError("a must be orthogonal to f")
     aa = n.norm(a)
-    cols = []
-    for j in range(n.rank):
-        ej = n.basis_vector(j)
-        xf = n.pairing(ej, f)
-        xa = n.pairing(ej, a)
-        twice_fcoeff = -2 * xa - aa * xf
-        if twice_fcoeff % 2 != 0:
-            raise ValueError(
-                f"transvection not integral: a^2 = {aa} odd and basis vector {j} pairs oddly with f")
-        fcoeff = twice_fcoeff // 2
-        cols.append(tuple(ej[i] + xf * a[i] + fcoeff * f[i] for i in range(n.rank)))
-    return Isometry(n, IntMatrix.from_columns(cols, n.rank))
+    if aa % 2 != 0:
+        for j, xf in enumerate(n.gram.apply(f)):
+            if xf % 2 != 0:
+                raise ValueError(
+                    f"transvection not integral: a^2 = {aa} odd and basis vector {j} pairs oddly with f")
+    columns = IntMatrix.identity(n.rank).tolists()
+    _transvect_columns(columns, n.gram, f, a)
+    return Isometry(n, IntMatrix.from_columns(columns, n.rank))
 
 
 def in_discriminant_kernel(g: Isometry) -> bool:
@@ -413,6 +429,7 @@ class MoveResult:
     image: Vector
     canonical: bool
     divisor: int
+    transvections: int  # non-trivial Eichler transvections composed into `isometry`
 
 
 def move_primitive_vector(v: Sequence[int], n: Lattice, pairs: HyperbolicPairs) -> MoveResult:
@@ -427,6 +444,10 @@ def move_primitive_vector(v: Sequence[int], n: Lattice, pairs: HyperbolicPairs) 
     and finish with a single transvection clearing everything outside the
     first plane.  For a unimodular even ambient this always canonicalizes;
     otherwise the reduced vector and its divisor are reported as-is.
+
+    The transvections are applied in place to one running integer matrix and
+    to the running image; the composed matrix is validated as an `Isometry`
+    once, at the end, and `transvections` counts the non-trivial ones.
     """
     v = tuple(int(x) for x in v)
     if len(v) != n.rank:
@@ -447,8 +468,9 @@ def move_primitive_vector(v: Sequence[int], n: Lattice, pairs: HyperbolicPairs) 
 
     e1, f1, e2, f2 = unit(e1i), unit(f1i), unit(e2i), unit(f2i)
 
-    g = Isometry(n, IntMatrix.identity(n.rank))
-    cur = v
+    columns = IntMatrix.identity(n.rank).tolists()
+    cur = list(v)
+    transvections = 0
 
     def pairings(w):
         return (n.pairing(w, f1), n.pairing(w, e1), n.pairing(w, f2), n.pairing(w, e2))
@@ -458,11 +480,11 @@ def move_primitive_vector(v: Sequence[int], n: Lattice, pairs: HyperbolicPairs) 
         return tuple(0 if k in (e1i, f1i) else w[k] for k in range(n.rank))
 
     def transvect(fvec, avec):
-        nonlocal g, cur
+        nonlocal transvections
         if all(x == 0 for x in avec):
             return
-        t = eichler_transvection(fvec, avec, n)
-        g, cur = t.compose(g), t.apply(cur)
+        _transvect_columns(columns + [cur], n.gram, fvec, avec)
+        transvections += 1
 
     def content_move_vector(w):
         """c in the complement of plane 1 with w.c = ideal generator, or None."""
@@ -583,14 +605,16 @@ def move_primitive_vector(v: Sequence[int], n: Lattice, pairs: HyperbolicPairs) 
         transvect(f1, tuple(-a1 * x for x in k))
         a1 = n.pairing(cur, f1)
         if a1 == -1:
-            minus = Isometry(n, -IntMatrix.identity(n.rank))
-            g, cur = minus.compose(g), minus.apply(cur)
+            for col in columns + [cur]:
+                col[:] = [-x for x in col]
         canonical = True
 
+    cur = tuple(cur)
     expected = tuple(
         (1 if k == e1i else (n.norm(v) // 2 if k == f1i else 0)) for k in range(n.rank))
     if canonical and cur != expected:
         raise AssertionError("canonicalization reached an unexpected representative")
+    g = Isometry(n, IntMatrix.from_columns(columns, n.rank))
     if g.apply(v) != cur:
         raise AssertionError("isometry does not witness the move")
-    return MoveResult(g, cur, canonical, abs(divisor) if divisor else 0)
+    return MoveResult(g, cur, canonical, abs(divisor) if divisor else 0, transvections)

@@ -347,26 +347,7 @@ def rational_kernel(m: IntMatrix) -> list[tuple[int, ...]]:
 
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:
     """Exact inverse of a matrix with det ±1 (Gauss-Jordan over Q)."""
-    if not m.is_square():
-        raise ValueError("inverse of non-square matrix")
-    n = m.rows
-    a = [[Fraction(x) for x in row] for row in m.tolists()]
-    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        p = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if p is None:
-            raise ValueError("matrix is singular")
-        a[col], a[p] = a[p], a[col]
-        inv[col], inv[p] = inv[p], inv[col]
-        piv = a[col][col]
-        a[col] = [x / piv for x in a[col]]
-        inv[col] = [x / piv for x in inv[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-                inv[i] = [x - f * y for x, y in zip(inv[i], inv[col])]
-    return RatMatrix(inv).to_int()
+    return rational_inverse(m).to_int()
 
 
 def rational_inverse(m: IntMatrix) -> RatMatrix:

@@ -46,7 +46,17 @@ def _parse_int(x) -> int:
 
 
 def _parse_matrix(rows) -> IntMatrix:
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError("expected a matrix as a list of rows")
     return IntMatrix([[_parse_int(x) for x in row] for row in rows])
+
+
+def _field(obj, key: str, what: str):
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object for {what}, got {type(obj).__name__}")
+    if key not in obj:
+        raise ValueError(f"{what} is missing the field '{key}'")
+    return obj[key]
 
 
 def lattice_to_obj(lat: Lattice) -> dict:
@@ -57,8 +67,8 @@ def lattice_to_obj(lat: Lattice) -> dict:
 
 
 def lattice_from_obj(obj: dict) -> Lattice:
-    gram = _parse_matrix(obj["gram"])
-    rank = _parse_int(obj["rank"])
+    rank = _parse_int(_field(obj, "rank", "a lattice"))
+    gram = _parse_matrix(_field(obj, "gram", "a lattice"))
     return Lattice(rank, gram, obj.get("label"))
 
 
@@ -72,9 +82,9 @@ def embedding_to_obj(emb: LatticeEmbedding) -> dict:
 
 def embedding_from_obj(obj: dict) -> LatticeEmbedding:
     return LatticeEmbedding(
-        lattice_from_obj(obj["source"]),
-        lattice_from_obj(obj["target"]),
-        _parse_matrix(obj["matrix"]),
+        lattice_from_obj(_field(obj, "source", "an embedding")),
+        lattice_from_obj(_field(obj, "target", "an embedding")),
+        _parse_matrix(_field(obj, "matrix", "an embedding")),
     )
 
 
@@ -83,7 +93,8 @@ def isometry_to_obj(iso: Isometry) -> dict:
 
 
 def isometry_from_obj(obj: dict) -> Isometry:
-    return Isometry(lattice_from_obj(obj["lattice"]), _parse_matrix(obj["matrix"]))
+    return Isometry(lattice_from_obj(_field(obj, "lattice", "an isometry")),
+                    _parse_matrix(_field(obj, "matrix", "an isometry")))
 
 
 def clifford_to_obj(x: CliffordElement) -> dict:
@@ -92,7 +103,11 @@ def clifford_to_obj(x: CliffordElement) -> dict:
 
 
 def clifford_from_obj(obj: dict, host: Lattice | None = None) -> CliffordElement:
+    terms = _field(obj, "terms", "a Clifford element")
+    if not isinstance(terms, list):
+        raise ValueError("Clifford terms must be a list")
     if host is None:
-        host = Lattice(_parse_int(obj["rank"]), _parse_matrix(obj["gram"]))
-    coeffs = {_parse_int(t["mask"]): _parse_int(t["coeff"]) for t in obj["terms"]}
+        host = lattice_from_obj(obj)
+    coeffs = {_parse_int(_field(t, "mask", "a Clifford term")): _parse_int(_field(t, "coeff", "a Clifford term"))
+              for t in terms}
     return CliffordElement(host, coeffs)

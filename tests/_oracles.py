@@ -3,7 +3,7 @@
 from itertools import product
 
 from k3lattices.lattices import Lattice
-from k3lattices.linalg import rational_inverse
+from k3lattices.linalg import rational_inverse, smith_normal_form
 
 
 def box_oracle(lat: Lattice, norm: int) -> set:
@@ -50,3 +50,14 @@ def rank2_reduced_oracle(max_disc: int) -> set:
                 if 0 <= 2 * b <= a <= c and 1 <= a * c - b * b <= max_disc:
                     hits.add(((a, b), (b, c)))
     return hits
+
+
+def discriminant_lifts_by_inverse(lat: Lattice) -> tuple:
+    """Generator lifts of the discriminant group as G^-1 u^-1 e_i, one for
+    each invariant factor d_i > 1 of u G v = d, with both inverses taken by
+    Gauss-Jordan elimination over Q."""
+    snf = smith_normal_form(lat.gram)
+    ginv = rational_inverse(lat.gram)
+    uinv = rational_inverse(snf.u)
+    return tuple(tuple(ginv.apply([row[i] for row in uinv.entries]))
+                 for i in range(lat.rank) if snf.d[i, i] > 1)

@@ -1,7 +1,9 @@
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -190,3 +192,22 @@ def test_big_int_string_rendering(tmp_path):
     assert json.loads(out)["gram"][0][0] == str(big)
     code, out = run_cli(["--raw-ints", "lattice", "build", "--file", str(path)])
     assert json.loads(out)["gram"][0][0] == big
+
+
+@pytest.mark.parametrize("argv, stdin_text", [
+    (["lattice", "info"], '{"rank":2,"gram":5}'),
+    (["lattice", "info"], "[1,2]"),
+    (["lattice", "info"], '{"rank":2}'),
+    (["lattice", "info", "--file", "/nonexistent/lattice.json"], ""),
+    (["complement"], '{"source":[1]}'),
+])
+def test_malformed_input_gives_one_error_line(argv, stdin_text):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "k3lattices.cli", *argv], input=stdin_text,
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert proc.stdout == ""

@@ -1,7 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from _oracles import discriminant_lifts_by_inverse
 from k3lattices.lattices import (
     HyperbolicPairs,
     Isometry,
@@ -24,8 +26,9 @@ from k3lattices.lattices import (
     reflection,
     saturate,
     sublattice_embedding,
+    _transvect_columns,
 )
-from k3lattices.linalg import IntMatrix, content, rational_kernel
+from k3lattices.linalg import IntMatrix, RatMatrix, content, det_exact, rational_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -106,13 +109,17 @@ def test_disc_group_rank_one():
     assert disc.quadratic[0].denominator == 4
 
 
-def test_disc_group_form_structure():
-    rng = random.Random(91)
-    for _ in range(15):
+def _random_definite_grams(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
         k = rng.randint(1, 3)
         b = IntMatrix([[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)])
-        g = b @ b.transpose() + IntMatrix.diagonal([rng.randint(1, 4) for _ in range(k)])
-        lat = Lattice(k, g)
+        yield b @ b.transpose() + IntMatrix.diagonal([rng.randint(1, 4) for _ in range(k)])
+
+
+def test_disc_group_form_structure():
+    for g in _random_definite_grams(91, 15):
+        lat = Lattice(g.rows, g)
         disc = discriminant_group(lat)
         m = disc.bilinear
         for i in range(len(m)):
@@ -123,6 +130,35 @@ def test_disc_group_form_structure():
         for order, gen in zip(disc.invariant_factors, disc.generators):
             assert all((order * x).denominator == 1 for x in gen)
             assert any(x.denominator > 1 for x in gen)
+
+
+def test_disc_group_lifts_match_inverse_oracle():
+    lattices = [l_d(d) for d in range(1, 31)]
+    lattices += [Lattice(g.rows, g) for g in _random_definite_grams(92, 40)]
+    for lat in lattices:
+        assert discriminant_group(lat).generators == discriminant_lifts_by_inverse(lat)
+
+
+def _norm_mod(lat, x):
+    value = sum((xi * gi for xi, gi in zip(x, RatMatrix.from_int(lat.gram).apply(x))), Fraction(0))
+    return value % (2 if lat.is_even() else 1)
+
+
+def test_disc_group_quadratic_independent_of_lift():
+    # <3> is odd: the lifts 1/3 and 4/3 of one class have norms 1/3 and 16/3,
+    # equal mod 1 but not mod 2
+    disc = discriminant_group(rank_one(3))
+    assert disc.quadratic == (Fraction(1, 3),)
+    odd = next(Lattice(3, g) for g in _random_definite_grams(7, 100)
+               if g.rows == 3 and not Lattice(3, g).is_even() and det_exact(g) > 1)
+    for lat in (rank_one(3), odd, l_d(3), rank_one(4)):
+        disc = discriminant_group(lat)
+        assert disc.quadratic
+        for gen, q in zip(disc.generators, disc.quadratic):
+            assert _norm_mod(lat, gen) == q
+            for k in range(lat.rank):
+                shifted = tuple(x + (1 if i == k else 0) for i, x in enumerate(gen))
+                assert _norm_mod(lat, shifted) == q
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +314,22 @@ def test_eichler_preconditions():
         eichler_transvection((1, 0, 0), (0, 1, 0), amb)  # a.f != 0
 
 
+def test_transvect_columns_matches_composed_transvections():
+    rng = random.Random(113)
+    lam = k3_lattice()
+    partner = {16: 17, 17: 16, 18: 19, 19: 18}
+    columns = IntMatrix.identity(lam.rank).tolists()
+    composed = Isometry(lam, IntMatrix.identity(lam.rank))
+    for _ in range(50):
+        i = rng.choice(sorted(partner))
+        f = lam.basis_vector(i)
+        a = [rng.randint(-3, 3) for _ in range(lam.rank)]
+        a[partner[i]] = 0  # a.f = a_partner
+        _transvect_columns(columns, lam.gram, f, a)
+        composed = eichler_transvection(f, a, lam).compose(composed)
+    assert IntMatrix.from_columns(columns, lam.rank) == composed.matrix
+
+
 # ---------------------------------------------------------------------------
 # discriminant kernel
 
@@ -371,6 +423,27 @@ def test_move_prescribed_negative_norms():
         res = move_primitive_vector(moved, lam, pairs)
         assert res.canonical
         assert res.image == tuple(v)
+
+
+def test_move_seeded_vectors_in_k3_and_l_d():
+    rng = random.Random(107)
+    pairs = HyperbolicPairs((16, 17), (18, 19))
+    for lat in (k3_lattice(), l_d(1), l_d(2), l_d(5)):
+        for _ in range(20):
+            while True:
+                v = [rng.randint(-9, 9) for _ in range(lat.rank)]
+                # divisor 1, so that the canonical representative is in the orbit
+                if content(lat.gram.apply(v)) == 1 and lat.norm(v) != 0:
+                    break
+            res = move_primitive_vector(v, lat, pairs)
+            gm = res.isometry.matrix
+            assert gm.transpose() @ lat.gram @ gm == lat.gram
+            assert det_exact(gm) in (1, -1)
+            expected = [0] * lat.rank
+            expected[16], expected[17] = 1, lat.norm(v) // 2
+            assert res.canonical and res.divisor == 1
+            assert res.image == tuple(expected) == gm.apply(v)
+            assert res.transvections > 0
 
 
 def _perp_vector(rng, lat, i, j):
