@@ -17,7 +17,6 @@ from . import enumeration as enum_mod
 from . import lattices as lat
 from . import roots
 from . import serialize as ser
-from .linalg import IntMatrix
 
 
 def _read_json(args, attr="file"):
@@ -178,8 +177,8 @@ def cmd_enumerate(args):
 
 def cmd_check_disc_complement(args):
     payload = _read_json(args)
-    left = ser.embedding_from_obj(payload["left"])
-    right = ser.embedding_from_obj(payload["right"])
+    left = ser.embedding_from_obj(ser._field(payload, "left", "a discriminant-complement check"))
+    right = ser.embedding_from_obj(ser._field(payload, "right", "a discriminant-complement check"))
     report = lat.check_disc_complement(left, right)
     _emit(args, {"disc": report.disc_left, "disc_complement": report.disc_right,
                  "index": report.index})
@@ -190,17 +189,18 @@ def cmd_check_disc_complement(args):
 
 def cmd_clifford(args):
     payload = _read_json(args)
+    what = f"a clifford {args.op} input"
     if args.op == "mul":
-        x = ser.clifford_from_obj(payload["x"])
-        y = ser.clifford_from_obj(payload["y"], x.host)
+        x = ser.clifford_from_obj(ser._field(payload, "x", what))
+        y = ser.clifford_from_obj(ser._field(payload, "y", what), x.host)
         _emit(args, ser.clifford_to_obj(x * y))
     elif args.op == "reversal":
         x = ser.clifford_from_obj(payload)
         _emit(args, ser.clifford_to_obj(cl.reversal(x)))
     elif args.op == "phi-a":
-        x = ser.clifford_from_obj(payload["x"])
-        y = ser.clifford_from_obj(payload["y"], x.host)
-        a = ser.clifford_from_obj(payload["a"], x.host)
+        x = ser.clifford_from_obj(ser._field(payload, "x", what))
+        y = ser.clifford_from_obj(ser._field(payload, "y", what), x.host)
+        a = ser.clifford_from_obj(ser._field(payload, "a", what), x.host)
         _emit(args, {"value": cl.phi_a(x, y, a)})
     elif args.op == "find-a":
         host = ser.lattice_from_obj(payload)
@@ -208,8 +208,9 @@ def cmd_clifford(args):
         _emit(args, {"a": ser.clifford_to_obj(pol.element),
                      "gram_det_nonzero": True})
     elif args.op == "gspin":
-        host = ser.lattice_from_obj(payload["lattice"])
-        pair = cl.gspin_generator(payload["v"], payload["w"], host)
+        host = ser.lattice_from_obj(ser._field(payload, "lattice", what))
+        pair = cl.gspin_generator(ser._parse_vector(ser._field(payload, "v", what)),
+                                  ser._parse_vector(ser._field(payload, "w", what)), host)
         report = cl.conjugation_preserves_lattice(pair, host)
         _emit(args, {
             "g": ser.clifford_to_obj(pair.g),
@@ -219,9 +220,9 @@ def cmd_clifford(args):
             "images": [list(v) for v in report.images] if report.images else None,
         })
     elif args.op == "project":
-        host = ser.lattice_from_obj(payload["lattice"])
-        entries = [[int(x) for x in row] for row in payload["endo"]]
-        f = cl.EndoMatrix(len(entries), IntMatrix(entries))
+        host = ser.lattice_from_obj(ser._field(payload, "lattice", what))
+        entries = ser._parse_matrix(ser._field(payload, "endo", what))
+        f = cl.EndoMatrix(entries.rows, entries)
         _emit(args, {"vector": list(cl.project_endo_to_l(f, host))})
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown clifford op {args.op}")

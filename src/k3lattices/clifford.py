@@ -121,13 +121,9 @@ def _mask_indices(mask: int) -> Iterator[int]:
         i += 1
 
 
-def _gram_key(host: Lattice):
-    return host.gram
-
-
 def _mono_times_gen(host: Lattice, mask: int, j: int) -> dict[int, int]:
     """Expansion of e_mask * e_j in the monomial basis."""
-    key = (_gram_key(host), mask, j)
+    key = (host.gram, mask, j)
     hit = _gen_product_cache.get(key)
     if hit is not None:
         return hit
@@ -156,7 +152,7 @@ def _mono_times_gen(host: Lattice, mask: int, j: int) -> dict[int, int]:
 
 
 def _mono_times_mono(host: Lattice, ma: int, mb: int) -> dict[int, int]:
-    key = (_gram_key(host), ma, mb)
+    key = (host.gram, ma, mb)
     hit = _mono_product_cache.get(key)
     if hit is not None:
         return hit
@@ -215,7 +211,7 @@ def is_even(x: CliffordElement) -> bool:
 
 def _mono_trace(host: Lattice, mask: int) -> int:
     """Trace of left multiplication by e_mask on the 2^n module."""
-    key = (_gram_key(host), mask)
+    key = (host.gram, mask)
     hit = _trace_cache.get(key)
     if hit is not None:
         return hit
@@ -268,8 +264,11 @@ class PolarizationElement:
     gram: IntMatrix
 
     def is_alternating(self) -> bool:
-        g = self.gram
-        return all(g[i, j] == -g[j, i] for i in range(g.rows) for j in range(i + 1))
+        return _is_alternating(self.gram)
+
+
+def _is_alternating(g: IntMatrix) -> bool:
+    return all(g[i, j] == -g[j, i] for i in range(g.rows) for j in range(i + 1))
 
 
 def phi_gram(a: CliffordElement) -> IntMatrix:
@@ -338,10 +337,7 @@ def find_polarization_element(host: Lattice, cap: int = PHI_RANK_CAP,
     for a in candidates():
         tried += 1
         g = phi_gram(a)
-        alternating = all(g[i, j] == -g[j, i] for i in range(g.rows) for j in range(i + 1))
-        if not alternating:
-            continue
-        if det_exact(g) != 0:
+        if _is_alternating(g) and det_exact(g) != 0:
             return PolarizationElement(a, g)
     raise ValueError(
         f"no polarization element found: searched {tried} candidates over "

@@ -3,8 +3,9 @@
 Everything here works over Python's arbitrary-precision integers and
 `fractions.Fraction`; no floating point anywhere.  These routines back every
 other module: Smith normal form with recorded transforms, fraction-free
-determinants, Sylvester signatures by exact congruence diagonalization, and
-saturated integer kernels.
+determinants, Sylvester signatures by exact congruence diagonalization,
+saturated integer kernels, and a fraction-free LDL^T and integral LLL
+reduction of positive definite Gram matrices.
 """
 
 from __future__ import annotations
@@ -288,7 +289,7 @@ def signature(gram: IntMatrix) -> tuple[int, int, int]:
     usual hyperbolic repair (add row j to row i, and the same on columns)
     creates a nonzero diagonal pivot; the pair then contributes (1, 1).
     """
-    if not m_is_symmetric(gram):
+    if not gram.is_symmetric():
         raise ValueError("signature requires a symmetric matrix")
     n = gram.rows
     a = [[Fraction(x) for x in row] for row in gram.tolists()]
@@ -323,10 +324,6 @@ def signature(gram: IntMatrix) -> tuple[int, int, int]:
                 for k in range(n):
                     a[k][i] -= f * a[k][t]
     return pos, neg, n - pos - neg
-
-
-def m_is_symmetric(m: IntMatrix) -> bool:
-    return m.is_symmetric()
 
 
 def rational_kernel(m: IntMatrix) -> list[tuple[int, ...]]:
@@ -412,30 +409,77 @@ def bezout_combination(vec: Sequence[int]) -> tuple[int, list[int]]:
     return g, coeffs
 
 
-def ldlt(gram: IntMatrix) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Exact LDL^T factorization of a positive definite symmetric matrix.
+def ldlt(gram: IntMatrix) -> tuple[list[int], list[list[int]]]:
+    """Fraction-free LDL^T of a positive definite symmetric matrix (symmetric Bareiss).
 
-    Returns (L, D) with L unit lower triangular and D the positive diagonal,
-    both over Q.  Raises on a nonpositive pivot.
+    Returns (minors, numer): minors[k] is the leading principal minor D_k
+    (D_0 = 1) and numer[j][i], for i <= j, is the integer M_ji with
+    L_ji = M_ji / D_{i+1} and d_i = D_{i+1} / D_i, so numer[i][i] = D_{i+1} and
+    G_jl = sum_i M_ji M_li / (D_i D_{i+1}).  Every division is exact.  Each
+    pivot D_{k+1} is checked before anything is divided by it, which makes this
+    pass Sylvester's criterion: it raises as soon as some D_k <= 0.
     """
     n = gram.rows
-    a = [[Fraction(x) for x in row] for row in gram.tolists()]
-    lower = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    diag: list[Fraction] = []
+    a = [list(gram.row(i)[: i + 1]) for i in range(n)]  # lower triangle, eliminated in place
+    minors = [1]
     for k in range(n):
-        d = a[k][k] - sum(diag[j] * lower[k][j] ** 2 for j in range(k))
-        if d <= 0:
+        pivot, prev = a[k][k], minors[k]
+        if pivot <= 0:
             raise ValueError("matrix is not positive definite")
-        diag.append(d)
+        minors.append(pivot)
         for i in range(k + 1, n):
-            lower[i][k] = (a[i][k] - sum(diag[j] * lower[i][j] * lower[k][j] for j in range(k))) / d
-    return lower, diag
+            row, aik = a[i], a[i][k]
+            for j in range(k + 1, i + 1):
+                row[j] = (pivot * row[j] - aik * a[j][k]) // prev
+    return minors, a
 
 
-def isqrt_floor_frac(x: Fraction) -> int:
-    """floor(sqrt(x)) for x >= 0, exactly."""
-    if x < 0:
-        raise ValueError("negative radicand")
-    from math import isqrt
+def lll_reduce_gram(gram: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """Integral LLL reduction (delta = 3/4) of a positive definite Gram matrix.
 
-    return isqrt(x.numerator * x.denominator) // x.denominator
+    Cohen, GTM 138, Alg. 2.6.7 in Gram form.  It keeps d_k, the Gram
+    determinant of the first k basis vectors, and lambda_kl = d_l mu_kl, all
+    integers; `ldlt` supplies both for the input basis (lambda_kl is its
+    numerator M_kl) and raises if the matrix is not positive definite.  Every
+    update divides exactly.  Returns (reduced, u) with u unimodular, its
+    columns the new basis, and reduced = u^T gram u, which satisfies
+    |2 lambda_kl| <= d_l for l < k and 4 d_k d_{k-2} >= 3 d_{k-1}^2 - 4 lambda_{k,k-1}^2.
+    """
+    n = gram.rows
+    d, lam = ldlt(gram)  # d[k] is d_k; basis vector k (0-based) pairs with d[k + 1]
+    basis = IntMatrix.identity(n).tolists()  # basis[k]: coordinates of b_k
+
+    def reduce(k: int, l: int) -> None:
+        dl = d[l + 1]
+        if 2 * abs(lam[k][l]) <= dl:
+            return
+        q = (2 * lam[k][l] + dl) // (2 * dl)  # nearest integer to lambda_kl / d_l
+        basis[k] = [x - q * y for x, y in zip(basis[k], basis[l])]
+        lam[k][l] -= q * dl
+        for i in range(l):
+            lam[k][i] -= q * lam[l][i]
+
+    def swap(k: int) -> None:
+        basis[k - 1], basis[k] = basis[k], basis[k - 1]
+        for j in range(k - 1):
+            lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
+        lk = lam[k][k - 1]  # unchanged by the swap
+        b = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+        for i in range(k + 1, n):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+            lam[i][k - 1] = (b * t + lk * lam[i][k]) // d[k + 1]
+        d[k] = b
+
+    k = 1
+    while k < n:
+        reduce(k, k - 1)
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
+            swap(k)
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                reduce(k, l)
+            k += 1
+    u = IntMatrix(basis, cols=n).transpose()
+    return u.transpose() @ gram @ u, u

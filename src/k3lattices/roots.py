@@ -1,20 +1,21 @@
 """Short-vector enumeration and the (-2)-wall test for polarization degrees.
 
-`short_vectors` is an exact Fincke-Pohst: rational LDL^T plus depth-first
+`short_vectors` is integral LLL, then fraction-free Fincke-Pohst, provably
+complete: an all-integer LDL^T of the reduced Gram plus depth-first
 coordinate bounding with integer square roots, so the reported list is
-provably complete.  On a hyperbolic lattice (signature (1, rank-1)) the
-vectors w with w^2 = -2 orthogonal to a fixed v of positive square live in
-the negative definite complement v-perp, which makes the wall test finite.
+exact.  On a hyperbolic lattice (signature (1, rank-1)) the vectors w with
+w^2 = -2 orthogonal to a fixed v of positive square live in the negative
+definite complement v-perp, which makes the wall test finite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import isqrt, lcm
 from typing import Sequence
 
 from .lattices import Lattice, orthogonal_complement, sublattice_embedding
-from .linalg import isqrt_floor_frac, ldlt
+from .linalg import ldlt, lll_reduce_gram
 
 Vector = tuple[int, ...]
 
@@ -30,60 +31,56 @@ class ShortVectorReport:
         return len(self.vectors)
 
 
-def _coordinate_range(center: Fraction, budget: Fraction) -> range:
-    """Integers t with (t + center)^2 <= budget, exactly."""
-    if budget < 0:
-        return range(0)
-    root = isqrt_floor_frac(budget)
-    lo = -root - center
-    hi = root - center
-    lo_int = lo.numerator // lo.denominator  # floor
-    if lo_int < lo:
-        lo_int += 1  # ceil
-    hi_int = hi.numerator // hi.denominator
-    # exact boundary fixups (floor-of-sqrt can be off by one unit in t)
-    while (Fraction(hi_int + 1) + center) ** 2 <= budget:
-        hi_int += 1
-    while hi_int >= lo_int and (Fraction(hi_int) + center) ** 2 > budget:
-        hi_int -= 1
-    while (Fraction(lo_int - 1) + center) ** 2 <= budget:
-        lo_int -= 1
-    while lo_int <= hi_int and (Fraction(lo_int) + center) ** 2 > budget:
-        lo_int += 1
-    return range(lo_int, hi_int + 1)
-
-
 def short_vectors(n: Lattice, target_norm: int) -> ShortVectorReport:
     """All v with v^T G v equal to target_norm in a positive definite lattice.
 
-    Writing G = L D L^T, the norm is sum_i d_i (x_i + c_i)^2 with c_i a
-    rational function of the later coordinates; enumerating coordinates from
-    the last one down with exact interval bounds visits every candidate.
+    Integral LLL, then fraction-free Fincke-Pohst, provably complete.  On the
+    reduced Gram, with the integer data of `ldlt` and C_i = sum_{j>i} M_ji x_j,
+    the norm is sum_i (D_{i+1} x_i + C_i)^2 / (D_i D_{i+1}).  Scaling by
+    N = lcm(D_i D_{i+1}) with w_i = N / (D_i D_{i+1}) leaves an integer budget,
+    and each coordinate, from the last one down, runs over exactly the x_i with
+    w_i (D_{i+1} x_i + C_i)^2 within what is left.  Hits are mapped back
+    through the unimodular transform.
     """
     if target_norm <= 0:
         raise ValueError("target norm must be positive")
-    if n.signature() != (n.rank, 0, 0):
-        raise ValueError("short-vector enumeration needs a positive definite lattice")
-    lower, diag = ldlt(n.gram)
+    try:
+        reduced, u = lll_reduce_gram(n.gram)
+    except ValueError:
+        raise ValueError("short-vector enumeration needs a positive definite lattice") from None
     rank = n.rank
-    budget_total = Fraction(target_norm)
+    if rank == 0:
+        return ShortVectorReport(n, target_norm, ())
+    minors, numer = ldlt(reduced)
+    denominators = [minors[i] * minors[i + 1] for i in range(rank)]
+    scale = lcm(*denominators)
+    weights = [scale // q for q in denominators]
+    columns = u.columns()
     found: list[Vector] = []
-    coords = [0] * rank
 
-    def descend(i: int, remaining: Fraction) -> None:
-        if i < 0:
-            if remaining == 0:
-                found.append(tuple(coords))
+    def descend(i: int, remaining: int, centers: list[int], image: list[int]) -> None:
+        # centers[l] is C_l for l <= i; image is u applied to the coordinates chosen so far
+        center, pivot, weight = centers[i], minors[i + 1], weights[i]
+        root = isqrt(remaining // weight)
+        if i == 0:
+            # x_0, the last coordinate visited, must use up the budget: w_0 y^2 == remaining
+            if weight * root * root != remaining:
+                return
+            for y in (root, -root) if root else (0,):
+                x, r = divmod(y - center, pivot)
+                if r == 0:  # built from a list, so the kept tuple has its exact size
+                    found.append(tuple([a + x * b for a, b in zip(image, columns[0])]))
             return
-        center = sum((lower[j][i] * coords[j] for j in range(i + 1, rank)), Fraction(0))
-        for t in _coordinate_range(center, remaining / diag[i]):
-            coords[i] = t
-            used = diag[i] * (t + center) ** 2
-            descend(i - 1, remaining - used)
-        coords[i] = 0
+        row, column = numer[i], columns[i]
+        for x in range(-((root + center) // pivot), (root - center) // pivot + 1):
+            y = pivot * x + center
+            descend(i - 1, remaining - weight * y * y,
+                    [c + x * m for c, m in zip(centers, row)],
+                    [a + x * b for a, b in zip(image, column)])
 
-    descend(rank - 1, budget_total)
-    return ShortVectorReport(n, target_norm, tuple(sorted(found)))
+    descend(rank - 1, scale * target_norm, [0] * rank, [0] * rank)
+    found.sort()
+    return ShortVectorReport(n, target_norm, tuple(found))
 
 
 def minus_two_walls_through(n: Lattice, v: Sequence[int]) -> list[Vector]:

@@ -45,10 +45,16 @@ def _parse_int(x) -> int:
     raise ValueError(f"expected an integer, got {type(x).__name__}")
 
 
+def _parse_vector(items) -> tuple[int, ...]:
+    if not isinstance(items, list):
+        raise ValueError("expected a vector as a list of integers")
+    return tuple(_parse_int(x) for x in items)
+
+
 def _parse_matrix(rows) -> IntMatrix:
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError("expected a matrix as a list of rows")
-    return IntMatrix([[_parse_int(x) for x in row] for row in rows])
+    return IntMatrix([_parse_vector(row) for row in rows])
 
 
 def _field(obj, key: str, what: str):

@@ -1,5 +1,6 @@
 """Independent brute-force oracles shared by the unit and acceptance suites."""
 
+from fractions import Fraction
 from itertools import product
 
 from k3lattices.lattices import Lattice
@@ -61,3 +62,18 @@ def discriminant_lifts_by_inverse(lat: Lattice) -> tuple:
     uinv = rational_inverse(snf.u)
     return tuple(tuple(ginv.apply([row[i] for row in uinv.entries]))
                  for i in range(lat.rank) if snf.d[i, i] > 1)
+
+
+def gram_schmidt_oracle(gram) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """(mu, b_star_sq) of the basis with this positive definite Gram matrix:
+    mu[k][l] = b_k . b*_l / |b*_l|^2 for l < k and b_star_sq[k] = |b*_k|^2,
+    by textbook Gram-Schmidt over Q."""
+    n = gram.rows
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    b_star_sq: list[Fraction] = []
+    for k in range(n):
+        for l in range(k):
+            dot = Fraction(gram[k, l]) - sum(mu[l][j] * mu[k][j] * b_star_sq[j] for j in range(l))
+            mu[k][l] = dot / b_star_sq[l]
+        b_star_sq.append(Fraction(gram[k, k]) - sum(mu[k][j] ** 2 * b_star_sq[j] for j in range(k)))
+    return mu, b_star_sq

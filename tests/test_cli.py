@@ -200,6 +200,8 @@ def test_big_int_string_rendering(tmp_path):
     (["lattice", "info"], '{"rank":2}'),
     (["lattice", "info", "--file", "/nonexistent/lattice.json"], ""),
     (["complement"], '{"source":[1]}'),
+    (["check-disc-complement"], "[1]"),
+    (["clifford", "project"], '{"lattice":{"rank":1,"gram":[[1]]},"endo":5}'),
 ])
 def test_malformed_input_gives_one_error_line(argv, stdin_text):
     src = str(Path(cli.__file__).resolve().parents[1])

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import gram_schmidt_oracle
 from k3lattices.linalg import (
     IntMatrix,
     bezout_combination,
     content,
     det_exact,
-    isqrt_floor_frac,
     ldlt,
+    lll_reduce_gram,
     rational_kernel,
     signature,
     smith_normal_form,
@@ -305,15 +306,63 @@ def test_ldlt_reconstructs():
         n = rng.randint(1, 4)
         b = random_matrix(rng, n, n, bound=3)
         g = b @ b.transpose() + IntMatrix.diagonal([1] * n)  # positive definite
-        lower, diag = ldlt(g)
+        minors, numer = ldlt(g)
+        assert minors[0] == 1
         for i in range(n):
             for j in range(n):
-                val = sum(diag[k] * lower[i][k] * lower[j][k] for k in range(n))
+                val = sum(Fraction(numer[i][k] * numer[j][k], minors[k] * minors[k + 1])
+                          for k in range(min(i, j) + 1))
                 assert val == g[i, j]
 
 
-def test_isqrt_floor_frac():
-    assert isqrt_floor_frac(Fraction(9, 2)) == 2
-    assert isqrt_floor_frac(Fraction(1, 2)) == 0
-    assert isqrt_floor_frac(Fraction(4)) == 2
-    assert isqrt_floor_frac(Fraction(0)) == 0
+def test_ldlt_minors_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(41)
+    for _ in range(20):
+        n = rng.randint(1, 6)
+        b = random_matrix(rng, n, n, bound=4)
+        g = b @ b.transpose() + IntMatrix.diagonal([1] * n)
+        m = sympy.Matrix(g.tolists())
+        assert ldlt(g)[0] == [1] + [int(m[:k, :k].det()) for k in range(1, n + 1)]
+
+
+# ---------------------------------------------------------------------------
+# LLL
+
+
+@st.composite
+def skewed_definite_grams(draw):
+    """B B^T + I, seen in a basis changed by random elementary column moves."""
+    n = draw(st.integers(1, 8))
+    b = IntMatrix(draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                                min_size=n, max_size=n)))
+    w = IntMatrix.identity(n).tolists()
+    moves = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(-3, 3))
+    for i, j, c in draw(st.lists(moves, max_size=16)):
+        if i != j:
+            for row in w:
+                row[j] += c * row[i]
+    w = IntMatrix(w)
+    return w.transpose() @ (b @ b.transpose() + IntMatrix.identity(n)) @ w
+
+
+@settings(max_examples=150, deadline=None)
+@given(skewed_definite_grams())
+def test_lll_reduce_gram_is_reduced(g):
+    reduced, u = lll_reduce_gram(g)
+    assert u.transpose() @ g @ u == reduced
+    assert det_exact(u) in (1, -1)
+    # d[k] is the Gram determinant of the first k vectors, lam[k][l] = d_{l+1} mu_kl
+    mu, b_star_sq = gram_schmidt_oracle(reduced)
+    d = [Fraction(1)]
+    for b in b_star_sq:
+        d.append(d[-1] * b)
+    assert all(x.denominator == 1 for x in d)
+    n = g.rows
+    lam = [[d[l + 1] * mu[k][l] for l in range(k)] for k in range(n)]
+    for k in range(n):
+        for l in range(k):
+            assert lam[k][l].denominator == 1
+            assert abs(2 * lam[k][l]) <= d[l + 1]
+    for k in range(1, n):
+        assert 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2

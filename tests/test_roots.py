@@ -55,6 +55,17 @@ def test_short_vectors_negation_closed():
             assert len(vs) % 2 == 0
 
 
+def random_column_moves(rng, n, moves):
+    """A unimodular U, as a list of rows, from elementary moves column j += c * column i."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(moves if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((1, -1))
+        for row in u:
+            row[j] += c * row[i]
+    return u
+
+
 def test_short_vectors_vs_oracle_random():
     rng = random.Random(9)
     for _ in range(25):
@@ -63,9 +74,39 @@ def test_short_vectors_vs_oracle_random():
         assert set(short_vectors(lat, norm).vectors) == box_oracle(lat, norm)
 
 
+def test_short_vectors_skewed_vs_oracle():
+    rng = random.Random(19)
+    for _ in range(25):
+        lat = random_posdef(rng, rng.randint(1, 4))
+        u = IntMatrix(random_column_moves(rng, lat.rank, 6))
+        skewed = Lattice(lat.rank, u.transpose() @ lat.gram @ u)
+        norm = rng.randint(1, 12)
+        vectors = short_vectors(skewed, norm).vectors
+        assert list(vectors) == sorted(set(vectors))
+        assert set(vectors) == box_oracle(skewed, norm)
+
+
+def test_short_vectors_skewed_e8_maps_to_dynkin_roots():
+    dynkin = set(short_vectors(e8(), 2).vectors)
+    for seed in (1, 2, 3, 4):
+        u = IntMatrix(random_column_moves(random.Random(seed), 8, 60))
+        skewed = Lattice(8, u.transpose() @ e8().gram @ u)
+        assert max(abs(x) for row in skewed.gram.tolists() for x in row) > 100
+        vectors = short_vectors(skewed, 2).vectors
+        assert len(vectors) == 240
+        assert {u.apply(x) for x in vectors} == dynkin
+
+
 def test_short_vectors_rejects_indefinite():
-    with pytest.raises(ValueError):
-        short_vectors(hyperbolic_u(), 2)
+    not_definite = [
+        hyperbolic_u(),
+        Lattice(2, IntMatrix([[1, 0], [0, 0]])),  # <1> + <0>: the second leading minor is 0
+        Lattice(8, -e8().gram),
+        Lattice(2, IntMatrix([[1, 2], [2, 1]])),  # leading minors 1, -3
+    ]
+    for lat in not_definite:
+        with pytest.raises(ValueError, match="needs a positive definite lattice"):
+            short_vectors(lat, 2)
 
 
 # ---------------------------------------------------------------------------
