@@ -22,13 +22,17 @@ from . import serialize as ser
 def _read_json(args, attr="file"):
     path = getattr(args, attr, None)
     if not path:
-        return json.loads(sys.stdin.read())
+        text = sys.stdin.read()
+    else:
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from exc
     try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    return json.loads(text)
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("input JSON is nested too deeply") from None
 
 
 def _emit(args, payload):

@@ -22,7 +22,6 @@ from .linalg import (
     rational_kernel,
     signature as matrix_signature,
     smith_normal_form,
-    unimodular_inverse,
 )
 
 Vector = tuple[int, ...]
@@ -84,10 +83,10 @@ class LatticeEmbedding:
     def __post_init__(self):
         if self.matrix.rows != self.target.rank or self.matrix.cols != self.source.rank:
             raise ValueError("embedding matrix shape mismatch")
-        induced = self.matrix.transpose() @ self.target.gram @ self.matrix
-        if induced != self.source.gram:
+        bt = self.matrix.transpose()
+        if bt @ self.target.gram @ self.matrix != self.source.gram:
             raise ValueError("matrix does not preserve the pairing")
-        if len(rational_kernel(self.matrix)) != 0:
+        if det_exact(bt @ self.matrix) == 0:
             raise ValueError("embedding columns are linearly dependent")
 
     def image_vectors(self) -> list[Vector]:
@@ -262,12 +261,12 @@ def saturate(sub: LatticeEmbedding) -> LatticeEmbedding:
     """Embedding of (Q-span of the image) intersected with the target.
 
     With u B v = d, the image spans the first r columns of u^{-1} over Q, and
-    those columns are a basis of the saturation since u is unimodular.
+    those columns are a basis of the saturation since u is unimodular.  As
+    B v = u^{-1} d, column j of B v divided by d_j is u^{-1} e_j.
     """
     snf = smith_normal_form(sub.matrix)
-    r = len(snf.invariant_factors())
-    uinv = unimodular_inverse(snf.u)
-    cols = [uinv.column(j) for j in range(r)]
+    bv = (sub.matrix @ snf.v).columns()
+    cols = [tuple(x // dj for x in bv[j]) for j, dj in enumerate(snf.invariant_factors())]
     return sublattice_embedding(sub.target, cols, sub.source.label)
 
 

@@ -1,11 +1,11 @@
-"""Exact integer and rational matrix kernel.
+"""Exact integer matrix kernel: arbitrary-precision integers, no floating point.
 
-Everything here works over Python's arbitrary-precision integers and
-`fractions.Fraction`; no floating point anywhere.  These routines back every
-other module: Smith normal form with recorded transforms, fraction-free
-determinants, Sylvester signatures by exact congruence diagonalization,
-saturated integer kernels, and a fraction-free LDL^T and integral LLL
-reduction of positive definite Gram matrices.
+Every elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): the
+entries stay integer minors, so each division is exact.  One symmetric pass
+serves LDL^T and Sylvester signatures; determinants and the Gauss-Jordan
+inverse (integer numerators over one determinant, wrapped as a `RatMatrix`)
+use the same update.  Smith normal form with transforms serves where Smith
+data is the answer, as for saturated kernels; integral LLL builds on LDL^T.
 """
 
 from __future__ import annotations
@@ -281,49 +281,54 @@ def det_exact(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def _symmetric_bareiss(gram: IntMatrix) -> tuple[list[int], list[list[int]]]:
+    """Symmetric Bareiss pass behind `ldlt` and `signature`: (minors, a).
+
+    minors holds the leading minors D_0 = 1, ..., D_r of a congruent P^T G P,
+    r the rank.  A zero pivot is traded for a later nonzero diagonal entry
+    (symmetric swap) or, on a zero diagonal, made 2 a_ij by adding row and
+    column j to i (hyperbolic repair).  Both touch only the remaining block,
+    so entries stay minors of P^T G P and divisions exact; the lower triangle
+    is mirrored for them.  For positive definite G, P = 1 and a[j][i] = M_ji.
+    """
+    n = gram.rows
+    a = gram.tolists()
+    minors = [1]
+    for k in range(n):
+        if a[k][k] == 0:
+            p = next((i for i in range(k, n) if a[i][i]), None)
+            if p is None:
+                pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j]), None)
+                if pair is None:
+                    break  # the remaining block is zero
+                p, j = pair
+                a[p] = [x + y for x, y in zip(a[p], a[j])]
+                for row in a:
+                    row[p] += row[j]
+            a[k], a[p] = a[p], a[k]
+            for row in a:
+                row[k], row[p] = row[p], row[k]
+        pivot, prev = a[k][k], minors[k]
+        minors.append(pivot)
+        for i in range(k + 1, n):
+            row, aik = a[i], a[i][k]
+            for j in range(k + 1, i + 1):
+                row[j] = a[j][i] = (pivot * row[j] - aik * a[j][k]) // prev
+    return minors, a
+
+
 def signature(gram: IntMatrix) -> tuple[int, int, int]:
     """Sylvester inertia (positive, negative, zero) of a symmetric matrix.
 
-    Exact rational congruence diagonalization.  When every diagonal entry of
-    the active block vanishes but some off-diagonal pairing does not, the
-    usual hyperbolic repair (add row j to row i, and the same on columns)
-    creates a nonzero diagonal pivot; the pair then contributes (1, 1).
+    The signs of the pivot ratios D_{k+1} / D_k from `_symmetric_bareiss`
+    count the positive and negative parts; the rank deficit is the zero part.
     """
     if not gram.is_symmetric():
         raise ValueError("signature requires a symmetric matrix")
-    n = gram.rows
-    a = [[Fraction(x) for x in row] for row in gram.tolists()]
-    pos = neg = 0
-    for t in range(n):
-        # prefer a nonzero diagonal pivot
-        p = next((i for i in range(t, n) if a[i][i] != 0), None)
-        if p is None:
-            q = next(((i, j) for i in range(t, n) for j in range(i + 1, n) if a[i][j] != 0), None)
-            if q is None:
-                break  # active block is zero
-            i, j = q
-            for k in range(n):
-                a[i][k] += a[j][k]
-            for k in range(n):
-                a[k][i] += a[k][j]
-            p = i
-        if p != t:
-            a[t], a[p] = a[p], a[t]
-            for row in a:
-                row[t], row[p] = row[p], row[t]
-        pivot = a[t][t]
-        if pivot > 0:
-            pos += 1
-        else:
-            neg += 1
-        for i in range(t + 1, n):
-            if a[i][t] != 0:
-                f = a[i][t] / pivot
-                for k in range(n):
-                    a[i][k] -= f * a[t][k]
-                for k in range(n):
-                    a[k][i] -= f * a[k][t]
-    return pos, neg, n - pos - neg
+    minors = _symmetric_bareiss(gram)[0]
+    pos = sum((a > 0) == (b > 0) for a, b in zip(minors, minors[1:]))
+    neg = len(minors) - 1 - pos
+    return pos, neg, gram.rows - pos - neg
 
 
 def rational_kernel(m: IntMatrix) -> list[tuple[int, ...]]:
@@ -343,32 +348,35 @@ def rational_kernel(m: IntMatrix) -> list[tuple[int, ...]]:
 
 
 def unimodular_inverse(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of a matrix with det ±1 (Gauss-Jordan over Q)."""
+    """Exact inverse of a matrix with det +-1: the integer case of `rational_inverse`."""
     return rational_inverse(m).to_int()
 
 
 def rational_inverse(m: IntMatrix) -> RatMatrix:
-    """Exact rational inverse of a nonsingular integer matrix."""
+    """Exact rational inverse of a nonsingular integer matrix.
+
+    Fraction-free Gauss-Jordan on [m | I]: the Bareiss update, applied to the
+    rows above the pivot as well, keeps every entry an integer and divides
+    exactly, and it ends with D * I on the left, D = +-det m the last pivot.
+    The right half then holds the integer numerators of m^{-1} over D.
+    """
     if not m.is_square():
         raise ValueError("inverse of non-square matrix")
     n = m.rows
-    a = [[Fraction(x) for x in row] for row in m.tolists()]
-    inv = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        p = next((i for i in range(col, n) if a[i][col] != 0), None)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m.tolists())]
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k] != 0), None)
         if p is None:
             raise ValueError("matrix is singular")
-        a[col], a[p] = a[p], a[col]
-        inv[col], inv[p] = inv[p], inv[col]
-        piv = a[col][col]
-        a[col] = [x / piv for x in a[col]]
-        inv[col] = [x / piv for x in inv[col]]
+        a[k], a[p] = a[p], a[k]
+        pivot_row, pivot = a[k], a[k][k]
         for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-                inv[i] = [x - f * y for x, y in zip(inv[i], inv[col])]
-    return RatMatrix(inv)
+            if i != k:
+                aik = a[i][k]
+                a[i] = [(pivot * x - aik * y) // prev for x, y in zip(a[i], pivot_row)]
+        prev = pivot
+    return RatMatrix([[Fraction(x, prev) for x in row[n:]] for row in a])
 
 
 def content(vec: Iterable[int]) -> int:
@@ -415,23 +423,14 @@ def ldlt(gram: IntMatrix) -> tuple[list[int], list[list[int]]]:
     Returns (minors, numer): minors[k] is the leading principal minor D_k
     (D_0 = 1) and numer[j][i], for i <= j, is the integer M_ji with
     L_ji = M_ji / D_{i+1} and d_i = D_{i+1} / D_i, so numer[i][i] = D_{i+1} and
-    G_jl = sum_i M_ji M_li / (D_i D_{i+1}).  Every division is exact.  Each
-    pivot D_{k+1} is checked before anything is divided by it, which makes this
-    pass Sylvester's criterion: it raises as soon as some D_k <= 0.
+    G_jl = sum_i M_ji M_li / (D_i D_{i+1}).  Every division is exact.  The
+    pass is `_symmetric_bareiss`, and Sylvester's criterion on its minors is
+    the definiteness test: it raises unless every D_k is positive.
     """
-    n = gram.rows
-    a = [list(gram.row(i)[: i + 1]) for i in range(n)]  # lower triangle, eliminated in place
-    minors = [1]
-    for k in range(n):
-        pivot, prev = a[k][k], minors[k]
-        if pivot <= 0:
-            raise ValueError("matrix is not positive definite")
-        minors.append(pivot)
-        for i in range(k + 1, n):
-            row, aik = a[i], a[i][k]
-            for j in range(k + 1, i + 1):
-                row[j] = (pivot * row[j] - aik * a[j][k]) // prev
-    return minors, a
+    minors, a = _symmetric_bareiss(gram)
+    if len(minors) <= gram.rows or any(d <= 0 for d in minors):
+        raise ValueError("matrix is not positive definite")
+    return minors, [row[: i + 1] for i, row in enumerate(a)]
 
 
 def lll_reduce_gram(gram: IntMatrix) -> tuple[IntMatrix, IntMatrix]:

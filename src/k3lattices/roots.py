@@ -93,6 +93,11 @@ def minus_two_walls_through(n: Lattice, v: Sequence[int]) -> list[Vector]:
     v = tuple(v)
     if n.norm(v) <= 0:
         raise ValueError("wall test needs v with positive square")
+    return _walls(n, v)
+
+
+def _walls(n: Lattice, v: Vector) -> list[Vector]:
+    # the wall test for a hyperbolic n and v^2 > 0, both checked by the caller
     if n.rank == 1:
         return []
     perp = orthogonal_complement(sublattice_embedding(n, [v]))
@@ -107,9 +112,7 @@ def in_cn(n: Lattice, v: Sequence[int]) -> bool:
     (-2)-vector is orthogonal to v."""
     _require_hyperbolic(n)
     v = tuple(v)
-    if n.norm(v) <= 0:
-        return False
-    return not minus_two_walls_through(n, v)
+    return n.norm(v) > 0 and not _walls(n, v)
 
 
 def _require_hyperbolic(n: Lattice) -> None:
@@ -160,23 +163,20 @@ def min_polarization_degree(n: Lattice, norm_limit: int = 20, coeff_box: int = 1
     Scans every v with |coordinates| <= coeff_box and 0 < v^2 <= norm_limit in
     increasing v^2 (deterministic tie-break) and returns the first member of
     the cone, a certified upper bound for the true minimal degree.  Exhaustive
-    only in rank 1, where the generator settles the question.
+    only in rank 1, where the generator settles the question.  The lattice
+    is checked to be hyperbolic once; every candidate has v^2 > 0, so the
+    scan runs the wall test directly.
     """
     _require_hyperbolic(n)
     if norm_limit <= 0 or coeff_box <= 0:
         raise ValueError("limits must be positive")
     candidates = _box_candidates(n, norm_limit, coeff_box)
-    hit: tuple[int, Vector] | None = None
     if jobs > 1 and n.rank > 1:
         hit = _parallel_scan(n, candidates, jobs)
     else:
-        for q, vec in candidates:
-            if in_cn(n, vec):
-                hit = (q, vec)
-                break
-    if hit is None:
-        return PolarizationSearchResult(n, None, None, norm_limit, coeff_box, n.rank == 1)
-    return PolarizationSearchResult(n, hit[0], hit[1], norm_limit, coeff_box, n.rank == 1)
+        hit = _scan_chunk((n, candidates))
+    degree, certificate = hit or (None, None)
+    return PolarizationSearchResult(n, degree, certificate, norm_limit, coeff_box, n.rank == 1)
 
 
 def _parallel_scan(n: Lattice, candidates, jobs: int):
@@ -195,10 +195,7 @@ def _parallel_scan(n: Lattice, candidates, jobs: int):
 
 def _scan_chunk(args):
     n, chunk = args
-    for q, vec in chunk:
-        if in_cn(n, vec):
-            return (q, vec)
-    return None
+    return next(((q, vec) for q, vec in chunk if not _walls(n, vec)), None)
 
 
 def verify_certificate(n: Lattice, v: Sequence[int], claimed_degree: int) -> bool:

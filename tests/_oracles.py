@@ -56,7 +56,7 @@ def rank2_reduced_oracle(max_disc: int) -> set:
 def discriminant_lifts_by_inverse(lat: Lattice) -> tuple:
     """Generator lifts of the discriminant group as G^-1 u^-1 e_i, one for
     each invariant factor d_i > 1 of u G v = d, with both inverses taken by
-    Gauss-Jordan elimination over Q."""
+    `rational_inverse` (fraction-free Gauss-Jordan), not read off v."""
     snf = smith_normal_form(lat.gram)
     ginv = rational_inverse(lat.gram)
     uinv = rational_inverse(snf.u)

@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from k3lattices import cli, serialize as ser
 from k3lattices.lattices import direct_sum, hyperbolic_u, rank_one, sublattice_embedding
@@ -202,6 +204,7 @@ def test_big_int_string_rendering(tmp_path):
     (["complement"], '{"source":[1]}'),
     (["check-disc-complement"], "[1]"),
     (["clifford", "project"], '{"lattice":{"rank":1,"gram":[[1]]},"endo":5}'),
+    pytest.param(["lattice", "info"], "[" * 5000 + "]" * 5000, id="deeply-nested-json"),
 ])
 def test_malformed_input_gives_one_error_line(argv, stdin_text):
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -213,3 +216,81 @@ def test_malformed_input_gives_one_error_line(argv, stdin_text):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert proc.stdout == ""
+
+
+# ---------------------------------------------------------------------------
+# malformed payloads, fuzzed
+
+small_ints = st.integers(-5, 5)
+json_junk = st.recursive(
+    st.none() | st.booleans() | small_ints | st.floats(-5, 5) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8)
+
+
+@st.composite
+def malformed_grams(draw):
+    """Symmetric, non-symmetric, ragged or junk matrices of size at most 3."""
+    kind = draw(st.sampled_from(["symmetric", "symmetric", "square", "ragged", "junk"]))
+    if kind == "junk":
+        return draw(json_junk)
+    if kind == "ragged":
+        return draw(st.lists(st.lists(small_ints, max_size=3), max_size=3))
+    n = draw(st.integers(0, 3))
+    m = [[draw(small_ints) for _ in range(n)] for _ in range(n)]
+    if kind == "symmetric":
+        for i in range(n):
+            for j in range(i):
+                m[i][j] = m[j][i]
+    return m
+
+
+@st.composite
+def malformed_payloads(draw):
+    """Stdin text: a lattice object with fields missing, of the wrong type or
+    inconsistent, bare JSON junk, or text that is not JSON at all."""
+    kind = draw(st.sampled_from(["lattice", "lattice", "lattice", "junk", "text"]))
+    if kind == "text":
+        return draw(st.text(max_size=12))
+    if kind == "junk":
+        return json.dumps(draw(json_junk))
+    gram = draw(malformed_grams())
+    obj = {"gram": gram} if draw(st.integers(0, 3)) else {}
+    rank = draw(st.sampled_from(["size", "size", "other", "missing"]))
+    if rank == "size" and isinstance(gram, list):
+        obj["rank"] = len(gram)
+    elif rank == "other":
+        obj["rank"] = draw(st.integers(-1, 4) | json_junk)
+    if draw(st.booleans()):
+        obj["label"] = draw(json_junk)
+    return json.dumps(obj)
+
+
+def _vector_flag(values):
+    return "--v=" + ",".join(str(x) for x in values)
+
+
+fuzzed_commands = st.one_of(
+    st.just(["lattice", "info"]),
+    st.integers(-1, 4).map(lambda norm: ["roots", "--norm", str(norm)]),
+    st.lists(small_ints, max_size=4).map(lambda v: ["walls", _vector_flag(v)]),
+    st.tuples(st.lists(small_ints, max_size=4), st.integers(-4, 8)).map(
+        lambda vd: ["verify-cert", _vector_flag(vd[0]), "--degree", str(vd[1])]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fuzzed_commands, malformed_payloads())
+def test_fuzzed_payloads_exit_cleanly(argv, stdin_text):
+    old = sys.stdin, sys.stdout, sys.stderr
+    sys.stdin, sys.stdout, sys.stderr = io.StringIO(stdin_text), io.StringIO(), io.StringIO()
+    try:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        err = sys.stderr.getvalue()
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = old
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err

@@ -28,7 +28,15 @@ from k3lattices.lattices import (
     sublattice_embedding,
     _transvect_columns,
 )
-from k3lattices.linalg import IntMatrix, RatMatrix, content, det_exact, rational_kernel
+from k3lattices.linalg import (
+    IntMatrix,
+    RatMatrix,
+    content,
+    det_exact,
+    rational_kernel,
+    smith_normal_form,
+    unimodular_inverse,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +213,32 @@ def test_saturate_idempotent():
         assert again.matrix == sat.matrix
 
 
+def test_saturate_matches_inverse_of_smith_transform():
+    # saturate reads u^{-1} e_j off B v as column j over d_j; invert u directly instead
+    rng = random.Random(43)
+    amb = direct_sum(e8(), hyperbolic_u())
+    checked = 0
+    for _ in range(60):
+        cols = [[rng.randint(-2, 2) * rng.choice((1, 1, 2, 3)) for _ in range(10)]
+                for _ in range(rng.randint(1, 4))]
+        mat = IntMatrix.from_columns([tuple(c) for c in cols], 10)
+        if rational_kernel(mat):
+            continue  # linearly dependent draw
+        snf = smith_normal_form(mat)
+        uinv = unimodular_inverse(snf.u)
+        expected = [uinv.column(j) for j in range(len(cols))]
+        assert saturate(sublattice_embedding(amb, cols)).matrix.columns() == expected
+        checked += 1
+    assert checked >= 40
+
+
+def test_embedding_rejects_dependent_columns():
+    u = hyperbolic_u()
+    for cols in ([(1, 0), (2, 0)], [(1, 1), (0, 0)], [(1, 0), (0, 1), (1, 1)]):
+        with pytest.raises(ValueError, match="linearly dependent"):
+            sublattice_embedding(u, cols)
+
+
 def test_is_primitive_examples():
     u = hyperbolic_u()
     assert is_primitive(sublattice_embedding(u, [(1, 0)]))
@@ -241,6 +275,21 @@ def test_complement_is_orthogonal_and_saturated():
         assert is_primitive(comp)
         cross = sub.matrix.transpose() @ amb.gram @ comp.matrix
         assert all(cross[i, j] == 0 for i in range(cross.rows) for j in range(cross.cols))
+
+
+def test_orthogonal_complement_dense_generators_in_k3():
+    # dense generators give kernel bases with entries of up to 26 bits, on
+    # which the complement's column-independence check must stay exact and fast
+    k3 = k3_lattice()
+    for seed in range(60):
+        rng = random.Random(seed)
+        gens = [[rng.randint(-2, 2) for _ in range(22)] for _ in range(3)]
+        sub = sublattice_embedding(k3, gens)
+        comp = orthogonal_complement(sub)
+        basis = comp.matrix
+        assert comp.source.rank == basis.cols == 19
+        assert sub.matrix.transpose() @ k3.gram @ basis == IntMatrix.zero(3, 19)
+        assert comp.source.gram == basis.transpose() @ k3.gram @ basis
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import gram_schmidt_oracle
+from k3lattices.lattices import big_l, k3_lattice, l_d
 from k3lattices.linalg import (
     IntMatrix,
     bezout_combination,
@@ -13,6 +14,7 @@ from k3lattices.linalg import (
     det_exact,
     ldlt,
     lll_reduce_gram,
+    rational_inverse,
     rational_kernel,
     signature,
     smith_normal_form,
@@ -222,10 +224,23 @@ def test_signature_requires_symmetric():
 
 def test_signature_vs_charpoly_oracle():
     rng = random.Random(17)
+    grams = []
     for _ in range(40):
         n = rng.randint(1, 5)
         m = random_matrix(rng, n, n, bound=4)
-        g = IntMatrix([[m[i, j] + m[j, i] for j in range(n)] for i in range(n)])
+        grams.append(IntMatrix([[m[i, j] + m[j, i] for j in range(n)] for i in range(n)]))
+    for _ in range(40):  # zero diagonal: the first pivot comes from the hyperbolic repair
+        n = rng.randint(1, 6)
+        m = random_matrix(rng, n, n, bound=2)
+        grams.append(IntMatrix([[m[i, j] + m[j, i] if i != j else 0 for j in range(n)] for i in range(n)]))
+    for _ in range(60):  # B^T D B, of rank at most k < n
+        n = rng.randint(1, 7)
+        k = rng.randint(0, n - 1)
+        b = random_matrix(rng, k, n, bound=3)
+        d = IntMatrix.diagonal([rng.choice((-2, -1, 1, 2)) for _ in range(k)])
+        grams.append(b.transpose() @ d @ b if k else IntMatrix.zero(n, n))
+    grams += [k3_lattice().gram, l_d(3).gram, big_l().gram]
+    for g in grams:
         assert signature(g) == signature_oracle(g)
 
 
@@ -289,6 +304,28 @@ def test_unimodular_inverse_roundtrip():
         n = rng.randint(1, 5)
         w = random_unimodular(rng, n)
         assert w @ unimodular_inverse(w) == IntMatrix.identity(n)
+
+
+def test_rational_inverse_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(47)
+    checked = 0
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        m = random_matrix(rng, n, n, bound=6)
+        if det_exact(m) == 0:
+            continue
+        expected = sympy.Matrix(m.tolists()).inv()
+        assert rational_inverse(m).entries == [
+            [Fraction(int(x.p), int(x.q)) for x in expected.row(i)] for i in range(n)]
+        checked += 1
+    assert checked >= 40
+
+
+def test_rational_inverse_rejects_singular():
+    for m in (IntMatrix([[1, 2], [2, 4]]), IntMatrix.zero(3, 3), IntMatrix([[0, 1, 0], [0, 2, 0], [1, 0, 1]])):
+        with pytest.raises(ValueError, match="^matrix is singular$"):
+            rational_inverse(m)
 
 
 def test_bezout_combination():

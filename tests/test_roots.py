@@ -205,6 +205,34 @@ def test_mindeg_parallel_matches_sequential():
     assert (seq.upper_bound, seq.certificate) == (par.upper_bound, par.certificate)
 
 
+def test_mindeg_checks_signature_once(monkeypatch):
+    calls = []
+    original = Lattice.signature
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Lattice, "signature", counted)
+    lat = direct_sum(hyperbolic_u(), Lattice(2, IntMatrix([[-2, 1], [1, -4]])))
+    res = min_polarization_degree(lat, norm_limit=20, coeff_box=3)
+    assert res.upper_bound is not None
+    assert len(calls) == 1
+    calls.clear()
+    assert verify_certificate(lat, res.certificate, res.upper_bound)
+    assert len(calls) == 1
+
+
+def test_wall_tests_require_hyperbolic_lattice():
+    definite = direct_sum(rank_one(2), rank_one(2))
+    message = "Hodge-index signature"
+    for call in (lambda: in_cn(definite, (1, 0)), lambda: minus_two_walls_through(definite, (1, 0)),
+                 lambda: min_polarization_degree(definite)):
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert not verify_certificate(definite, (1, 0), 2)
+
+
 def test_verify_certificate_rejections():
     u = hyperbolic_u()
     assert not verify_certificate(u, (1, 1), 2)  # wall exists
