@@ -3,26 +3,115 @@
 Elements are finitely supported integer combinations of basis monomials
 e_S = e_{i1}...e_{ik} (i1 < ... < ik), encoded by bitmask S.  Products follow
 e_i e_j + e_j e_i = 2 b(e_i, e_j) and e_i^2 = b(e_i, e_i), so the algebra is
-integral for every integer Gram matrix.  Monomial products and traces are
-memoized per Gram matrix; matrix realizations live on the 2^n-dimensional
-left-regular module and are capped at rank 10 by default.
+integral for every integer Gram matrix.  Product and trace tables live in one
+private `CliffordAlgebra` per host lattice, freed with the host.  Traces on the
+2^n-dimensional left-regular module have the closed form Tr(L_{e_S}) =
+2^n Pf(B_S), B_S the Gram of the e_i, i in S (Wick's rule); matrix
+realizations live on that module and are capped at rank 10 by default.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from math import gcd
-from typing import Iterator, Sequence
+from itertools import chain, combinations
+from math import comb, gcd
+from typing import Sequence
 
 from .lattices import Lattice
-from .linalg import IntMatrix, det_exact, unimodular_inverse
+from .linalg import IntMatrix, det_exact, det_mod, unimodular_inverse
 
 MATRIX_RANK_CAP = 10
 PHI_RANK_CAP = 8
+P61 = (1 << 61) - 1
 
-_gen_product_cache: dict = {}
-_mono_product_cache: dict = {}
-_trace_cache: dict = {}
+
+def _mask_indices(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+class CliffordAlgebra:
+    """Product and trace tables of C(L) for one Gram matrix, keyed by int.
+    It holds no reference to its host, so `_algebras` drops it with the host."""
+
+    def __init__(self, gram: IntMatrix):
+        self.n = gram.rows
+        self.g = [gram.row(i) for i in range(self.n)]
+        self._gen: dict[int, dict[int, int]] = {}  # mask * n + j -> e_mask e_j
+        self._tau: dict[int, int] = {0: 1}         # mask -> Pf(B_mask)
+        self._trace_form: list[list[int]] | None = None
+
+    def table_sizes(self) -> dict[str, int]:
+        return {"generator_products": len(self._gen), "pfaffians": len(self._tau),
+                "trace_form_rows": len(self._trace_form or ())}
+
+    def gen(self, mask: int, j: int) -> dict[int, int]:
+        """Expansion of e_mask * e_j in the monomial basis."""
+        key = mask * self.n + j
+        out = self._gen.get(key)
+        if out is None:
+            top = mask.bit_length() - 1
+            if top < j:
+                out = {mask | 1 << j: 1}
+            elif top == j:
+                out = {mask ^ 1 << j: self.g[j][j]}
+            else:
+                # e_top e_j = 2 b(top, j) - e_j e_top, and every monomial of
+                # e_rest e_j has indices below top
+                rest = mask ^ 1 << top
+                out = {rest: 2 * self.g[j][top]}
+                out.update((m | 1 << top, -c) for m, c in self.gen(rest, j).items())
+            out = self._gen[key] = {m: c for m, c in out.items() if c}
+        return out
+
+    def times(self, x: dict[int, int], js: Sequence[int]) -> dict[int, int]:
+        """x * e_{j1} * e_{j2} * ... for js = (j1, j2, ...)."""
+        for j in js:
+            out: dict[int, int] = {}
+            for m, c in x.items():
+                for m2, c2 in self.gen(m, j).items():
+                    out[m2] = out.get(m2, 0) + c * c2
+            x = out
+        return x
+
+    def mul(self, x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
+        out: dict[int, int] = {}
+        for mb, cb in y.items():
+            for m, c in self.times(x, _mask_indices(mb)).items():
+                out[m] = out.get(m, 0) + cb * c
+        return out
+
+    def tau(self, mask: int) -> int:
+        """Pf(B_mask), expanded along the lowest index: Tr(L_{e_mask}) / 2^n."""
+        if mask not in self._tau:
+            low, *rest = _mask_indices(mask)
+            self._tau[mask] = 0 if len(rest) % 2 == 0 else sum(
+                (-1) ** k * self.g[low][j] * self.tau(mask ^ 1 << low ^ 1 << j)
+                for k, j in enumerate(rest) if self.g[low][j])
+        return self._tau[mask]
+
+    def trace_form(self) -> list[list[int]]:
+        """B'[I][K] = Tr(reversal(e_I) e_K), built by rows: with i the top
+        index of I, reversal(e_I) = e_i reversal(e_{I-i}), so cyclicity gives
+        B'[I][K] = sum of c B'[I-i][m] over the terms c e_m of e_K e_i."""
+        if self._trace_form is None:
+            dim = 1 << self.n
+            self._trace_form = rows = [[dim * self.tau(k) for k in range(dim)]]
+            for mask in range(1, dim):
+                i = mask.bit_length() - 1
+                prev = rows[mask ^ 1 << i]
+                rows.append([sum(c * prev[m] for m, c in self.gen(k, i).items()) for k in range(dim)])
+        return self._trace_form
+
+
+_algebras: weakref.WeakKeyDictionary[Lattice, CliffordAlgebra] = weakref.WeakKeyDictionary()
+
+
+def _algebra(host: Lattice) -> CliffordAlgebra:
+    alg = _algebras.get(host)
+    if alg is None:
+        alg = _algebras[host] = CliffordAlgebra(host.gram)
+    return alg
 
 
 class CliffordElement:
@@ -37,7 +126,6 @@ class CliffordElement:
         if any(not 0 <= m < top for m in self.coeffs):
             raise ValueError("monomial mask out of range for the host rank")
 
-    # -- constructors ------------------------------------------------------
     @classmethod
     def scalar(cls, host: Lattice, c: int) -> "CliffordElement":
         return cls(host, {0: c})
@@ -52,7 +140,6 @@ class CliffordElement:
             raise ValueError("coordinate length mismatch")
         return cls(host, {1 << i: c for i, c in enumerate(coords)})
 
-    # -- structure ---------------------------------------------------------
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -66,14 +153,10 @@ class CliffordElement:
         return tuple(out)
 
     def content(self) -> int:
-        g = 0
-        for c in self.coeffs.values():
-            g = gcd(g, c)
-        return g
+        return gcd(*self.coeffs.values())
 
-    # -- arithmetic --------------------------------------------------------
     def _check_host(self, other: "CliffordElement") -> None:
-        if self.host.gram != other.host.gram:
+        if self.host is not other.host and self.host.gram != other.host.gram:
             raise ValueError("elements live over different host lattices")
 
     def __add__(self, other: "CliffordElement") -> "CliffordElement":
@@ -96,106 +179,33 @@ class CliffordElement:
         return clifford_mul(self, other)
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, CliffordElement) and self.host.gram == other.host.gram
+        return (isinstance(other, CliffordElement)
+                and (self.host is other.host or self.host.gram == other.host.gram)
                 and self.coeffs == other.coeffs)
 
     def __hash__(self):
         return hash((self.host.gram, tuple(sorted(self.coeffs.items()))))
 
     def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for m in sorted(self.coeffs):
-            name = "1" if m == 0 else "e" + "".join(str(i) for i in _mask_indices(m))
-            bits.append(f"{self.coeffs[m]}*{name}")
-        return " + ".join(bits)
-
-
-def _mask_indices(mask: int) -> Iterator[int]:
-    i = 0
-    while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
-
-
-def _mono_times_gen(host: Lattice, mask: int, j: int) -> dict[int, int]:
-    """Expansion of e_mask * e_j in the monomial basis."""
-    key = (host.gram, mask, j)
-    hit = _gen_product_cache.get(key)
-    if hit is not None:
-        return hit
-    gram = host.gram
-    if mask == 0:
-        out = {1 << j: 1}
-    else:
-        top = mask.bit_length() - 1
-        rest = mask & ~(1 << top)
-        if top < j:
-            out = {mask | (1 << j): 1}
-        elif top == j:
-            out = {rest: gram[j, j]} if gram[j, j] != 0 else {}
-        else:
-            # e_top e_j = 2 b(top, j) - e_j e_top, and every monomial of
-            # (e_rest e_j) has indices below top
-            out = {}
-            b2 = 2 * gram[top, j]
-            if b2 != 0:
-                out[rest] = b2
-            for m, c in _mono_times_gen(host, rest, j).items():
-                out[m | (1 << top)] = out.get(m | (1 << top), 0) - c
-            out = {m: c for m, c in out.items() if c != 0}
-    _gen_product_cache[key] = out
-    return out
-
-
-def _mono_times_mono(host: Lattice, ma: int, mb: int) -> dict[int, int]:
-    key = (host.gram, ma, mb)
-    hit = _mono_product_cache.get(key)
-    if hit is not None:
-        return hit
-    acc = {ma: 1}
-    for j in _mask_indices(mb):
-        nxt: dict[int, int] = {}
-        for m, c in acc.items():
-            for m2, c2 in _mono_times_gen(host, m, j).items():
-                nxt[m2] = nxt.get(m2, 0) + c * c2
-        acc = {m: c for m, c in nxt.items() if c != 0}
-    _mono_product_cache[key] = acc
-    return acc
+        return " + ".join(f"{c}*" + ("e" + "".join(map(str, _mask_indices(m))) if m else "1")
+                          for m, c in sorted(self.coeffs.items())) or "0"
 
 
 def clifford_mul(x: CliffordElement, y: CliffordElement) -> CliffordElement:
     x._check_host(y)
-    out: dict[int, int] = {}
-    for ma, ca in x.coeffs.items():
-        for mb, cb in y.coeffs.items():
-            for m, c in _mono_times_mono(x.host, ma, mb).items():
-                out[m] = out.get(m, 0) + ca * cb * c
-    return CliffordElement(x.host, out)
+    return CliffordElement(x.host, _algebra(x.host).mul(x.coeffs, y.coeffs))
 
 
 def reversal(x: CliffordElement) -> CliffordElement:
-    """The canonical anti-involution e_{i1}...e_{ik} -> e_{ik}...e_{i1}.
-
-    Computed by literally remultiplying the reversed generator string, so
-    non-orthogonal Gram matrices pick up their cross terms; no popcount sign
-    shortcut.
-    """
-    host = x.host
-    out = CliffordElement.scalar(host, 0)
+    """The canonical anti-involution e_{i1}...e_{ik} -> e_{ik}...e_{i1}, by
+    remultiplying the reversed generator string, so non-orthogonal Grams pick
+    up their cross terms; no popcount sign shortcut."""
+    alg = _algebra(x.host)
+    out: dict[int, int] = {}
     for mask, coeff in x.coeffs.items():
-        term = {0: coeff}
-        for j in reversed(list(_mask_indices(mask))):
-            nxt: dict[int, int] = {}
-            for m, c in term.items():
-                for m2, c2 in _mono_times_gen(host, m, j).items():
-                    nxt[m2] = nxt.get(m2, 0) + c * c2
-            term = nxt
-        out = out + CliffordElement(host, term)
-    return out
+        for m, c in alg.times({0: coeff}, _mask_indices(mask)[::-1]).items():
+            out[m] = out.get(m, 0) + c
+    return CliffordElement(x.host, out)
 
 
 def even_part(x: CliffordElement) -> CliffordElement:
@@ -209,21 +219,10 @@ def is_even(x: CliffordElement) -> bool:
 # ---------------------------------------------------------------------------
 # traces and matrices
 
-def _mono_trace(host: Lattice, mask: int) -> int:
-    """Trace of left multiplication by e_mask on the 2^n module."""
-    key = (host.gram, mask)
-    hit = _trace_cache.get(key)
-    if hit is not None:
-        return hit
-    total = 0
-    for m in range(1 << host.rank):
-        total += _mono_times_mono(host, mask, m).get(m, 0)
-    _trace_cache[key] = total
-    return total
-
-
 def trace_of_left_mul(x: CliffordElement) -> int:
-    return sum(c * _mono_trace(x.host, m) for m, c in x.coeffs.items())
+    """Tr(L_x) on the left-regular module: 2^n times the sum of c_S Pf(B_S)."""
+    tau = _algebra(x.host).tau
+    return (1 << x.host.rank) * sum(c * tau(m) for m, c in x.coeffs.items())
 
 
 @dataclass(frozen=True)
@@ -241,14 +240,11 @@ def left_mul_matrix(x: CliffordElement, cap: int = MATRIX_RANK_CAP) -> EndoMatri
     if n > cap:
         raise ValueError(f"rank {n} exceeds the matrix cap {cap}")
     dim = 1 << n
-    cols = []
-    for m in range(dim):
-        col = [0] * dim
-        for ma, ca in x.coeffs.items():
-            for m2, c2 in _mono_times_mono(x.host, ma, m).items():
-                col[m2] += ca * c2
-        cols.append(tuple(col))
-    return EndoMatrix(dim, IntMatrix.from_columns(cols, dim))
+    alg, cols = _algebra(x.host), [x.coeffs]
+    for m in range(1, dim):  # x e_m = (x e_{m - top}) e_top
+        top = m.bit_length() - 1
+        cols.append(alg.times(cols[m ^ 1 << top], [top]))
+    return EndoMatrix(dim, IntMatrix([[col.get(r, 0) for col in cols] for r in range(dim)]))
 
 
 def phi_a(x: CliffordElement, y: CliffordElement, a: CliffordElement) -> int:
@@ -262,6 +258,7 @@ def phi_a(x: CliffordElement, y: CliffordElement, a: CliffordElement) -> int:
 class PolarizationElement:
     element: CliffordElement
     gram: IntMatrix
+    candidates_tried: int = 0
 
     def is_alternating(self) -> bool:
         return _is_alternating(self.gram)
@@ -272,27 +269,36 @@ def _is_alternating(g: IntMatrix) -> bool:
 
 
 def phi_gram(a: CliffordElement) -> IntMatrix:
-    """Gram matrix of phi_a on the monomial basis of C(L)."""
-    host = a.host
-    n = host.rank
-    dim = 1 << n
-    basis = [CliffordElement(host, {m: 1}) for m in range(dim)]
-    rev = [reversal(b) for b in basis]
-    rows = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            row.append(trace_of_left_mul(rev[i] * basis[j] * a))
-        rows.append(row)
-    return IntMatrix(rows)
+    """Gram matrix of phi_a on the monomial basis of C(L), as B' R_a:
+    phi_a(e_I, e_J) = Tr(reversal(e_I) e_J a) = sum_K B'[I][K] R_a[K][J], with
+    B' the host's `CliffordAlgebra.trace_form` and R_a the (sparse) matrix of
+    right multiplication by a."""
+    alg = _algebra(a.host)
+    cols = [list(alg.mul({j: 1}, a.coeffs).items()) for j in range(1 << a.host.rank)]  # e_J a
+    return IntMatrix([[sum(c * row[k] for k, c in col) for col in cols] for row in alg.trace_form()])
+
+
+def _nonsingular(m: list[list[int]], a: CliffordElement) -> bool:
+    """det m != 0 for m = R_a, its transpose or phi_gram(a).  If a has one
+    degree parity q, the entries (r, c) with deg r + deg c + q odd vanish; when
+    they do (checked), the two parity blocks are tested apart.  A nonzero
+    residue modulo P61 certifies a block; `det_exact` settles a zero one."""
+    dim = len(m)
+    par = [bin(i).count("1") % 2 for i in range(dim)]
+    qs = {par[s] for s in a.coeffs}
+    q = min(qs, default=0)
+    blocks = [m]
+    if len(qs) == 1 and all(m[r][c] == 0 for r in range(dim) for c in range(dim) if par[r] != par[c] ^ q):
+        blocks = [[[row[c] for c in range(dim) if par[c] == pc] for r, row in enumerate(m) if par[r] == pc ^ q]
+                  for pc in (0, 1)]
+    return all(det_mod(b, P61) or det_exact(IntMatrix(b, cols=len(b))) for b in blocks)
 
 
 def _anti_fixed_basis(host: Lattice) -> list[CliffordElement]:
     """Primitive spanning elements of the -1 eigenspace of the reversal."""
     out = []
     seen = set()
-    masks = sorted(range(1, 1 << host.rank), key=lambda m: (bin(m).count("1"), m))
-    for mask in masks:
+    for mask in sorted(range(1, 1 << host.rank), key=lambda m: (bin(m).count("1"), m)):
         e_s = CliffordElement(host, {mask: 1})
         w = e_s - reversal(e_s)
         if w.is_zero():
@@ -300,11 +306,9 @@ def _anti_fixed_basis(host: Lattice) -> list[CliffordElement]:
         g = w.content()
         w = CliffordElement(host, {m: c // g for m, c in w.coeffs.items()})
         key = tuple(sorted(w.coeffs.items()))
-        neg = tuple(sorted((m, -c) for m, c in w.coeffs.items()))
-        if key in seen or neg in seen:
-            continue
-        seen.add(key)
-        out.append(w)
+        if key not in seen:
+            seen.update((key, tuple((m, -c) for m, c in key)))
+            out.append(w)
     return out
 
 
@@ -315,30 +319,33 @@ def find_polarization_element(host: Lattice, cap: int = PHI_RANK_CAP,
     Candidates are integer combinations of the reversal's -1 eigenvectors
     (e_S - reversal(e_S), normalized), by increasing support size and then
     coefficients in {1, -1, 2, -2}; phi_a for such a is antisymmetric by the
-    trace identity, so the real work is the nondegeneracy determinant.
+    trace identity.  As det phi_gram(a) = det B' det R_a (see `phi_gram`), a
+    candidate is screened by det R_a, whose entries are small, and only one
+    that passes gets its phi-Gram built and checked (alternating, det != 0).
+    If det G = 0, no candidate passes: a radical vector of L spans a nilpotent
+    ideal of C(L), on which every trace vanishes, so det B' = 0.
     """
     if host.rank > cap:
         raise ValueError(f"rank {host.rank} exceeds the phi-gram cap {cap}")
+    alg = _algebra(host)
+    dim = 1 << host.rank
     basis = _anti_fixed_basis(host)
     coeff_choices = (1, -1, 2, -2)
+    pairs = combinations(basis, 2) if max_support >= 2 else ()
+    candidates = chain((w.scale(c) for w in basis for c in coeff_choices),
+                       (v.scale(cv) + w.scale(cw) for v, w in pairs for cv in coeff_choices for cw in coeff_choices))
     tried = 0
-
-    def candidates():
-        for w in basis:
-            for c in coeff_choices:
-                yield w.scale(c)
-        if max_support >= 2:
-            for i in range(len(basis)):
-                for j in range(i + 1, len(basis)):
-                    for ci in coeff_choices:
-                        for cj in coeff_choices:
-                            yield basis[i].scale(ci) + basis[j].scale(cj)
-
-    for a in candidates():
-        tried += 1
-        g = phi_gram(a)
-        if _is_alternating(g) and det_exact(g) != 0:
-            return PolarizationElement(a, g)
+    if det_exact(host.gram) == 0:
+        tried = len(coeff_choices) * len(basis) + len(coeff_choices) ** 2 * comb(len(basis), 2) * (max_support >= 2)
+    else:
+        for a in candidates:
+            tried += 1
+            # det R_a^T = det R_a, and row J of R_a^T holds e_J a
+            rows = [alg.mul({j: 1}, a.coeffs) for j in range(dim)]
+            if _nonsingular([[row.get(k, 0) for k in range(dim)] for row in rows], a):
+                g = phi_gram(a)
+                if _is_alternating(g) and _nonsingular(g.tolists(), a):
+                    return PolarizationElement(a, g, tried)
     raise ValueError(
         f"no polarization element found: searched {tried} candidates over "
         f"{len(basis)} anti-fixed basis elements with support <= {max_support}, "
@@ -364,11 +371,8 @@ def gspin_generator(v: Sequence[int], w: Sequence[int], host: Lattice) -> GspinP
     nv, nw = host.norm(v), host.norm(w)
     if nv == 0 or nw == 0:
         raise ValueError("gspin generators need anisotropic vectors")
-    ev = CliffordElement.from_vector(host, v)
-    ew = CliffordElement.from_vector(host, w)
-    g = ev * ew
-    inv_num = ew * ev
-    den = nv * nw
+    ev, ew = CliffordElement.from_vector(host, v), CliffordElement.from_vector(host, w)
+    g, inv_num, den = ev * ew, ew * ev, nv * nw
     if g * inv_num != CliffordElement.scalar(host, den):
         raise AssertionError("inverse identity v*w*w*v = b(v,v)b(w,w) failed")
     return GspinPair(g, inv_num, den)
@@ -391,9 +395,7 @@ def conjugation_preserves_lattice(pair: GspinPair, host: Lattice) -> Conjugation
     for i in range(host.rank):
         z = pair.conjugate_times_denominator(CliffordElement.generator(host, i))
         coords = z.degree_one_coords()
-        if coords is None:
-            return ConjugationReport(False, i, None)
-        if any(c % pair.denominator != 0 for c in coords):
+        if coords is None or any(c % pair.denominator != 0 for c in coords):
             return ConjugationReport(False, i, None)
         images.append(tuple(c // pair.denominator for c in coords))
     return ConjugationReport(True, None, tuple(images))
@@ -405,9 +407,7 @@ def trace_pairing_identity(v: Sequence[int], w: Sequence[int], host: Lattice,
     and odd monomials are traceless on the left-regular module."""
     if host.rank > cap:
         raise ValueError(f"rank {host.rank} exceeds the matrix cap {cap}")
-    ev = CliffordElement.from_vector(host, v)
-    ew = CliffordElement.from_vector(host, w)
-    lhs = trace_of_left_mul(ev * ew)
+    lhs = trace_of_left_mul(CliffordElement.from_vector(host, v) * CliffordElement.from_vector(host, w))
     rhs = (1 << host.rank) * host.pairing(v, w)
     if lhs != rhs:
         raise AssertionError(f"trace pairing identity violated: {lhs} != {rhs}")
@@ -424,8 +424,7 @@ def project_endo_to_l(f: EndoMatrix, host: Lattice, cap: int = MATRIX_RANK_CAP) 
         raise ValueError("integral projection needs a unimodular host")
     if host.rank > cap:
         raise ValueError(f"rank {host.rank} exceeds the matrix cap {cap}")
-    n = host.rank
-    dim = 1 << n
+    n, dim = host.rank, 1 << host.rank
     if f.dim != dim:
         raise ValueError("endomorphism dimension does not match the host")
     ginv = unimodular_inverse(host.gram)
@@ -435,7 +434,6 @@ def project_endo_to_l(f: EndoMatrix, host: Lattice, cap: int = MATRIX_RANK_CAP) 
         lmat = left_mul_matrix(dual, cap).entries
         tr = sum(sum(f.entries[r, k] * lmat[k, r] for k in range(dim)) for r in range(dim))
         if tr % dim != 0:
-            raise AssertionError(
-                f"trace quotient not divisible by 2^n for dual vector {i}: {tr}")
+            raise AssertionError(f"trace quotient not divisible by 2^n for dual vector {i}: {tr}")
         coords.append(tr // dim)
     return tuple(coords)

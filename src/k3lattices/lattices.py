@@ -8,7 +8,7 @@ throughout: E8 is positive definite, the hyperbolic plane U has Gram
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
@@ -74,17 +74,25 @@ class Lattice:
 
 @dataclass(frozen=True)
 class LatticeEmbedding:
-    """Metric embedding source -> target, columns of `matrix` are the images."""
+    """Metric embedding source -> target, columns of `matrix` are the images.
+
+    `induced` is B^T G B for B = `matrix`, when the caller has already formed
+    it (as `sublattice_embedding` does for the source Gram); otherwise it is
+    computed here.  Either way it must equal the source Gram.
+    """
 
     source: Lattice
     target: Lattice
     matrix: IntMatrix
+    induced: InitVar[IntMatrix | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, induced: IntMatrix | None):
         if self.matrix.rows != self.target.rank or self.matrix.cols != self.source.rank:
             raise ValueError("embedding matrix shape mismatch")
         bt = self.matrix.transpose()
-        if bt @ self.target.gram @ self.matrix != self.source.gram:
+        if induced is None:
+            induced = bt @ self.target.gram @ self.matrix
+        if induced != self.source.gram:
             raise ValueError("matrix does not preserve the pairing")
         if det_exact(bt @ self.matrix) == 0:
             raise ValueError("embedding columns are linearly dependent")
@@ -253,8 +261,7 @@ def sublattice_embedding(target: Lattice, columns: Sequence[Sequence[int]],
     """Embedding of the sublattice spanned by `columns` with its induced Gram."""
     mat = IntMatrix.from_columns([tuple(c) for c in columns], target.rank)
     induced = mat.transpose() @ target.gram @ mat
-    src = Lattice(mat.cols, induced, label)
-    return LatticeEmbedding(src, target, mat)
+    return LatticeEmbedding(Lattice(mat.cols, induced, label), target, mat, induced)
 
 
 def saturate(sub: LatticeEmbedding) -> LatticeEmbedding:

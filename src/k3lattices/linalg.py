@@ -6,6 +6,8 @@ serves LDL^T and Sylvester signatures; determinants and the Gauss-Jordan
 inverse (integer numerators over one determinant, wrapped as a `RatMatrix`)
 use the same update.  Smith normal form with transforms serves where Smith
 data is the answer, as for saturated kernels; integral LLL builds on LDL^T.
+`det_mod` eliminates over GF(p) instead: a nonzero residue is a cheap proof
+that a determinant is nonzero.
 """
 
 from __future__ import annotations
@@ -279,6 +281,29 @@ def det_exact(m: IntMatrix) -> int:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def det_mod(rows: Sequence[Sequence[int]], p: int) -> int:
+    """Determinant modulo the prime p, by Gaussian elimination over GF(p);
+    rows whose entry in the pivot column is already zero are skipped."""
+    a = [[x % p for x in row] for row in rows]
+    n = len(a)
+    det = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        det = det * a[k][k] % p
+        inv = pow(a[k][k], -1, p)
+        tail = a[k][k + 1:]
+        for i in range(k + 1, n):
+            f = a[i][k] * inv % p
+            if f:
+                a[i][k + 1:] = [(x - f * y) % p for x, y in zip(a[i][k + 1:], tail)]
+    return det % p
 
 
 def _symmetric_bareiss(gram: IntMatrix) -> tuple[list[int], list[list[int]]]:

@@ -3,8 +3,9 @@
 from fractions import Fraction
 from itertools import product
 
+from k3lattices.clifford import CliffordElement, _anti_fixed_basis, reversal
 from k3lattices.lattices import Lattice
-from k3lattices.linalg import rational_inverse, smith_normal_form
+from k3lattices.linalg import IntMatrix, det_exact, rational_inverse, smith_normal_form
 
 
 def box_oracle(lat: Lattice, norm: int) -> set:
@@ -77,3 +78,49 @@ def gram_schmidt_oracle(gram) -> tuple[list[list[Fraction]], list[Fraction]]:
             mu[k][l] = dot / b_star_sq[l]
         b_star_sq.append(Fraction(gram[k, k]) - sum(mu[k][j] ** 2 * b_star_sq[j] for j in range(k)))
     return mu, b_star_sq
+
+
+def mono_trace_by_module_loop(host: Lattice, mask: int) -> int:
+    """Trace of left multiplication by e_mask on the 2^n left-regular module,
+    summed over the basis: the e_m-coefficient of e_mask * e_m for every m."""
+    e = CliffordElement(host, {mask: 1})
+    return sum((e * CliffordElement(host, {m: 1})).coeffs.get(m, 0) for m in range(1 << host.rank))
+
+
+def phi_gram_oracle(a: CliffordElement, traces: dict | None = None) -> IntMatrix:
+    """phi_a(e_I, e_J) = Tr(reversal(e_I) e_J a) entry by entry, each trace
+    by the module loop; `traces` memoizes the monomial traces of one host."""
+    host = a.host
+    traces = {} if traces is None else traces
+
+    def trace(x):
+        for m in x.coeffs:
+            if m not in traces:
+                traces[m] = mono_trace_by_module_loop(host, m)
+        return sum(c * traces[m] for m, c in x.coeffs.items())
+
+    basis = [CliffordElement(host, {m: 1}) for m in range(1 << host.rank)]
+    rev = [reversal(b) for b in basis]
+    return IntMatrix([[trace(r * b * a) for b in basis] for r in rev])
+
+
+def find_polarization_oracle(host: Lattice, max_support: int = 2):
+    """(element, phi-Gram, candidates tried) of the first candidate whose
+    full phi-Gram is alternating with det_exact != 0, over the candidate
+    order of `find_polarization_element`; the same ValueError if none."""
+    basis = _anti_fixed_basis(host)
+    coeff_choices = (1, -1, 2, -2)
+    candidates = [w.scale(c) for w in basis for c in coeff_choices]
+    if max_support >= 2:
+        candidates += [basis[i].scale(ci) + basis[j].scale(cj)
+                       for i in range(len(basis)) for j in range(i + 1, len(basis))
+                       for ci in coeff_choices for cj in coeff_choices]
+    traces: dict = {}
+    for tried, a in enumerate(candidates, 1):
+        g = phi_gram_oracle(a, traces)
+        if all(g[i, j] == -g[j, i] for i in range(g.rows) for j in range(i + 1)) and det_exact(g) != 0:
+            return a, g, tried
+    raise ValueError(
+        f"no polarization element found: searched {len(candidates)} candidates over "
+        f"{len(basis)} anti-fixed basis elements with support <= {max_support}, "
+        f"coefficients in {coeff_choices}")

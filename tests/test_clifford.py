@@ -1,7 +1,13 @@
+import gc
 import random
+import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from _oracles import find_polarization_oracle, mono_trace_by_module_loop, phi_gram_oracle
+from k3lattices import clifford
 from k3lattices.clifford import (
     CliffordElement,
     EndoMatrix,
@@ -19,7 +25,7 @@ from k3lattices.clifford import (
     trace_pairing_identity,
 )
 from k3lattices.lattices import Lattice, direct_sum, e8, hyperbolic_u, rank_one
-from k3lattices.linalg import IntMatrix, det_exact
+from k3lattices.linalg import IntMatrix, det_exact, det_mod
 
 I1 = rank_one(1)
 I2 = direct_sum(rank_one(1), rank_one(1))
@@ -216,6 +222,164 @@ def test_find_polarization_u():
 def test_no_polarization_in_rank_one():
     with pytest.raises(ValueError):
         find_polarization_element(I1)
+
+
+@st.composite
+def clifford_hosts(draw):
+    """Symmetric Grams of rank <= 5, some with zero diagonal, some degenerate
+    (the last basis vector pairs exactly like the first)."""
+    n = draw(st.integers(1, 5))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = draw(st.integers(-3, 3))
+    if draw(st.booleans()):
+        for i in range(n):
+            g[i][i] = 0
+    if n > 1 and draw(st.booleans()):
+        for i in range(n):
+            g[i][n - 1] = g[n - 1][i] = g[i][0]
+        g[n - 1][n - 1] = g[0][0]
+    return Lattice(n, IntMatrix(g))
+
+
+@settings(max_examples=80, deadline=None)
+@given(clifford_hosts())
+def test_trace_closed_form_matches_module_loop(host):
+    for mask in range(1 << host.rank):
+        assert trace_of_left_mul(CliffordElement(host, {mask: 1})) == mono_trace_by_module_loop(host, mask)
+
+
+def test_phi_gram_matches_oracle():
+    rng = random.Random(47)
+    hosts = [I2, U, direct_sum(U, rank_one(-1)), e8_sublattice_rank4(),
+             Lattice(3, IntMatrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]])),
+             Lattice(3, IntMatrix([[1, 1, 0], [1, 1, 0], [0, 0, 2]]))]
+    for host in hosts:
+        traces = {}
+        for _ in range(4):
+            a = random_element(rng, host, terms=3)
+            assert phi_gram(a) == phi_gram_oracle(a, traces)
+
+
+def test_nonsingular_screen_matches_det_exact():
+    # the parity-block test on R_a (as its transpose) and on phi_gram(a),
+    # against det_exact of the whole matrix, for even, odd and mixed a
+    rng = random.Random(61)
+    hosts = [U, I2, direct_sum(U, rank_one(1)), e8_sublattice_rank4(),
+             Lattice(3, IntMatrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]])),
+             Lattice(3, IntMatrix([[1, 1, 0], [1, 1, 0], [0, 0, 2]]))]
+    seen = set()
+    for host in hosts:
+        dim = 1 << host.rank
+        for _ in range(16):
+            a = random_element(rng, host, terms=rng.randint(1, 2), bound=2)
+            r_t = [[(CliffordElement(host, {j: 1}) * a).coeffs.get(k, 0) for k in range(dim)]
+                   for j in range(dim)]
+            unit = det_exact(IntMatrix(r_t)) != 0
+            assert clifford._nonsingular(r_t, a) == unit
+            g = phi_gram(a)
+            assert clifford._nonsingular(g.tolists(), a) == (det_exact(g) != 0)
+            seen.add((frozenset(bin(m).count("1") % 2 for m in a.coeffs), unit))
+    assert {(frozenset({0}), True), (frozenset({1}), True), (frozenset({0, 1}), True),
+            (frozenset({0}), False), (frozenset({1}), False)} <= seen
+    # a matrix off the parity pattern of its element is tested whole
+    assert clifford._nonsingular([[0, 1], [1, 0]], CliffordElement.scalar(I1, 1))
+
+
+def _seeded_host(rng, n, kind):
+    """general: +-1..3 diagonal, entries in -1..1 off it, det != 0;
+    degenerate-plane: e0 isotropic and orthogonal to e1, pairing with e2;
+    singular: the last basis vector pairs exactly like the first."""
+    while True:
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            g[i][i] = rng.choice((1, -1)) * rng.randint(1, 3)
+            for j in range(i + 1, n):
+                g[i][j] = g[j][i] = rng.randint(-1, 1)
+        if kind == "degenerate-plane":
+            g[0][0] = g[0][1] = g[1][0] = 0
+            g[0][2] = g[2][0] = rng.choice((1, -1))
+        if kind == "singular":
+            for i in range(n):
+                g[i][n - 1] = g[n - 1][i] = g[i][0]
+            g[n - 1][n - 1] = g[0][0]
+            return Lattice(n, IntMatrix(g))
+        if det_exact(IntMatrix(g)) != 0:
+            return Lattice(n, IntMatrix(g))
+
+
+def test_find_polarization_matches_oracle():
+    rng = random.Random(53)
+    cases = [(2, "general"), (3, "general"), (4, "general"), (5, "general"), (6, "general"),
+             (6, "degenerate-plane"), (2, "singular"), (3, "singular")]
+    for n, kind in cases:
+        host = _seeded_host(rng, n, kind)
+        try:
+            expected = find_polarization_oracle(host)
+        except ValueError as err:
+            assert kind == "singular"
+            with pytest.raises(ValueError) as got:
+                find_polarization_element(host)
+            assert str(got.value) == str(err)
+            continue
+        pol = find_polarization_element(host)
+        assert (pol.element, pol.gram, pol.candidates_tried) == expected
+        if kind == "degenerate-plane":
+            assert pol.candidates_tried == 5
+
+
+def test_find_polarization_rank_eight():
+    # diagonal in {-2, 2, 4}, off-diagonal in {0, 1, -1}; the 256 x 256
+    # phi-Gram whose det_exact alone used to take seconds is built once
+    rng = random.Random(3)
+    g = [[0] * 8 for _ in range(8)]
+    for i in range(8):
+        g[i][i] = rng.choice((-2, 2, 4))
+        for j in range(i + 1, 8):
+            g[i][j] = g[j][i] = rng.choice((0, 1, -1))
+    host = Lattice(8, IntMatrix(g))
+    pol = find_polarization_element(host)
+    assert pol.element == CliffordElement(host, {0: 1, 3: 1})
+    assert pol.candidates_tried == 1 and pol.gram.rows == 256
+    assert pol.is_alternating() and det_mod(pol.gram.tolists(), (1 << 61) - 1) != 0
+
+
+def test_polarization_counters_and_table_sizes():
+    host = direct_sum(U, rank_one(1))
+    pol = find_polarization_element(host)
+    assert pol.candidates_tried == 1
+    sizes = clifford._algebra(host).table_sizes()
+    assert sizes["trace_form_rows"] == 8
+    # the trace form reads every e_mask e_j product, and its first row the
+    # Pfaffian of every mask
+    assert sizes["generator_products"] == 8 * 3
+    assert sizes["pfaffians"] == 8
+    # the default keeps the dataclass constructible from element and Gram alone
+    assert clifford.PolarizationElement(pol.element, pol.gram).candidates_tried == 0
+
+
+def test_algebra_tables_freed_with_hosts():
+    assert not [name for name, value in vars(clifford).items()
+                if isinstance(value, dict) and not name.startswith("__")]
+    gc.collect()
+    before = len(clifford._algebras)
+    rng = random.Random(59)
+    hosts = {}
+    while len(hosts) < 20:
+        host = _seeded_host(rng, 2 + len(hosts) % 4, "general")
+        if host not in clifford._algebras:  # an equal live host would share its algebra
+            hosts[host.gram] = host
+    refs = []
+    for host in hosts.values():
+        pol = find_polarization_element(host)
+        phi_a(pol.element, pol.element, pol.element)
+        refs.append(weakref.ref(clifford._algebra(host)))
+    assert len(clifford._algebras) == before + 20
+    del hosts, host, pol
+    gc.collect()
+    assert all(r() is None for r in refs)
+    assert len(clifford._algebras) == before
 
 
 def test_phi_gspin_scaling_law():

@@ -8,6 +8,7 @@ from k3lattices.lattices import (
     HyperbolicPairs,
     Isometry,
     Lattice,
+    LatticeEmbedding,
     big_l,
     check_disc_complement,
     direct_sum,
@@ -237,6 +238,17 @@ def test_embedding_rejects_dependent_columns():
     for cols in ([(1, 0), (2, 0)], [(1, 1), (0, 0)], [(1, 0), (0, 1), (1, 1)]):
         with pytest.raises(ValueError, match="linearly dependent"):
             sublattice_embedding(u, cols)
+
+
+def test_embedding_rejects_wrong_gram_when_built_directly():
+    u = hyperbolic_u()
+    mat = IntMatrix([[1], [1]])  # e + f, of norm 2
+    assert LatticeEmbedding(rank_one(2), u, mat).source.gram == IntMatrix([[2]])
+    for wrong in (rank_one(4), rank_one(-2), rank_one(0)):
+        with pytest.raises(ValueError, match="does not preserve the pairing"):
+            LatticeEmbedding(wrong, u, mat)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        LatticeEmbedding(rank_one(2), u, IntMatrix([[1], [1], [0]]))
 
 
 def test_is_primitive_examples():

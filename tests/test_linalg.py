@@ -12,6 +12,7 @@ from k3lattices.linalg import (
     bezout_combination,
     content,
     det_exact,
+    det_mod,
     ldlt,
     lll_reduce_gram,
     rational_inverse,
@@ -184,6 +185,19 @@ def test_det_random_vs_oracle():
         n = rng.randint(1, 5)
         m = random_matrix(rng, n, n)
         assert det_exact(m) == det_oracle(m)
+
+
+def test_det_mod_vs_oracle():
+    # small primes make zero pivots modulo p common; every third matrix is singular
+    rng = random.Random(12)
+    for t in range(120):
+        n = rng.randint(1, 5)
+        rows = random_matrix(rng, n, n).tolists()
+        if t % 3 == 0 and n > 1:
+            rows[-1] = [a - 2 * b for a, b in zip(rows[0], rows[1 % (n - 1)])]
+        for p in (2, 7, 101, (1 << 61) - 1):
+            assert det_mod(rows, p) == det_oracle(IntMatrix(rows)) % p
+    assert det_mod([], 7) == 1
 
 
 def test_det_congruence_invariant():
