@@ -137,7 +137,7 @@ def cmd_walls(args):
 
 def cmd_mindeg(args):
     lattice = ser.lattice_from_obj(_read_json(args))
-    res = roots.min_polarization_degree(lattice, args.norm_limit, args.box, jobs=args.jobs)
+    res = roots.min_polarization_degree(lattice, args.norm_limit, args.box)
     _emit(args, {
         "upper_bound": res.upper_bound,
         "certificate": list(res.certificate) if res.certificate else None,
@@ -285,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_min = sub.add_parser("mindeg", help="bounded search for the minimal polarization degree")
     p_min.add_argument("--norm-limit", type=int, default=20)
     p_min.add_argument("--box", type=int, default=10)
-    p_min.add_argument("--jobs", type=int, default=1)
+    p_min.add_argument("--jobs", type=int, default=1,
+                       help="accepted and ignored: the scan is sequential")
     p_min.add_argument("--file")
     p_min.set_defaults(func=cmd_mindeg)
 

@@ -5,7 +5,8 @@ entries stay integer minors, so each division is exact.  One symmetric pass
 serves LDL^T and Sylvester signatures; determinants and the Gauss-Jordan
 inverse (integer numerators over one determinant, wrapped as a `RatMatrix`)
 use the same update.  Smith normal form with transforms serves where Smith
-data is the answer, as for saturated kernels; integral LLL builds on LDL^T.
+data is the answer, as for saturated kernels; the kernel of a single row
+comes from extended-gcd column steps instead.  Integral LLL builds on LDL^T.
 `det_mod` eliminates over GF(p) instead: a nonzero residue is a cheap proof
 that a determinant is nonzero.
 """
@@ -412,34 +413,52 @@ def content(vec: Iterable[int]) -> int:
     return g
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*a + t*b = g = gcd(a, b) >= 0."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r != 0:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
 def bezout_combination(vec: Sequence[int]) -> tuple[int, list[int]]:
     """(g, coeffs) with sum(coeffs[i] * vec[i]) = g = content(vec)."""
-    coeffs = [0] * len(vec)
-    g = 0
-    gi = -1
-    for i, x in enumerate(vec):
-        if x == 0:
+    g, columns = _unimodular_completion(vec)
+    return g, list(columns[0]) if g else [0] * len(vec)
+
+
+def _unimodular_completion(row: Sequence[int]) -> tuple[int, list[tuple[int, ...]]]:
+    """(g, columns of U) with U unimodular and row U = (g, 0, ..., 0), g = content(row).
+
+    Column 0 starts as +-e_0 and takes one extended-gcd step against each
+    column j with row_j != 0, which leaves row . (column j) = 0.  Column 0 is
+    then a Bezout combination of the row and, for a nonzero row, columns
+    1..n-1 are a basis of its kernel in Z^n, saturated because U is
+    unimodular.
+    """
+    n = len(row)
+    cols = [[int(i == j) for i in range(n)] for j in range(n)]
+    g = abs(row[0]) if n else 0
+    if g and row[0] < 0:
+        cols[0][0] = -1
+    for j in range(1, n):
+        b = row[j]
+        if b == 0:
             continue
-        if g == 0:
-            g, gi = abs(x), i
-            coeffs[gi] = 1 if x > 0 else -1
-            continue
-        # extended gcd of running g with x
-        old_r, r = g, x
-        old_s, s = 1, 0
-        old_t, t = 0, 1
-        while r != 0:
-            q = old_r // r
-            old_r, r = r, old_r - q * r
-            old_s, s = s, old_s - q * s
-            old_t, t = t, old_t - q * t
-        if old_r < 0:
-            old_r, old_s, old_t = -old_r, -old_s, -old_t
-        for j in range(len(vec)):
-            coeffs[j] *= old_s
-        coeffs[i] += old_t
-        g = old_r
-    return g, coeffs
+        d, s, t = _xgcd(g, b)
+        a, b = g // d, b // d  # [[s, -b], [t, a]] has det (s g + t b) / d = 1
+        c0, cj = cols[0], cols[j]
+        cols[0] = [s * x + t * y for x, y in zip(c0, cj)]
+        cols[j] = [a * y - b * x for x, y in zip(c0, cj)]
+        g = d
+    return g, [tuple(c) for c in cols]
 
 
 def ldlt(gram: IntMatrix) -> tuple[list[int], list[list[int]]]:

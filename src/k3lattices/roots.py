@@ -5,7 +5,12 @@ complete: an all-integer LDL^T of the reduced Gram plus depth-first
 coordinate bounding with integer square roots, so the reported list is
 exact.  On a hyperbolic lattice (signature (1, rank-1)) the vectors w with
 w^2 = -2 orthogonal to a fixed v of positive square live in the negative
-definite complement v-perp, which makes the wall test finite.
+definite complement v-perp, which makes the wall test finite.  v-perp is
+the kernel of the row G v, whose saturated basis comes from unimodular
+column operations on that row (one extended-gcd step per entry), not from a
+Smith form.  `min_polarization_degree` walks the coefficient box once,
+carrying partial squares, into norm shells already in candidate order, and
+runs the wall test on them in increasing v^2.
 """
 
 from __future__ import annotations
@@ -14,8 +19,8 @@ from dataclasses import dataclass
 from math import isqrt, lcm
 from typing import Sequence
 
-from .lattices import Lattice, orthogonal_complement, sublattice_embedding
-from .linalg import ldlt, lll_reduce_gram
+from .lattices import Lattice, sublattice_embedding
+from .linalg import _unimodular_completion, ldlt, lll_reduce_gram
 
 Vector = tuple[int, ...]
 
@@ -97,14 +102,19 @@ def minus_two_walls_through(n: Lattice, v: Sequence[int]) -> list[Vector]:
 
 
 def _walls(n: Lattice, v: Vector) -> list[Vector]:
-    # the wall test for a hyperbolic n and v^2 > 0, both checked by the caller
+    """The wall test for a hyperbolic n and v^2 > 0, both checked by the caller.
+
+    v-perp is the kernel of the row G v: columns 1..r-1 of a unimodular U
+    with (G v) U = (g, 0, ..., 0) are a saturated basis of it, with no Smith
+    form.  G v != 0 because n is nondegenerate.
+    """
     if n.rank == 1:
         return []
-    perp = orthogonal_complement(sublattice_embedding(n, [v]))
+    _, columns = _unimodular_completion(n.gram.apply(v))
+    perp = sublattice_embedding(n, columns[1:])
     flipped = Lattice(perp.source.rank, -perp.source.gram)
     report = short_vectors(flipped, 2)
-    walls = [perp.matrix.apply(x) for x in report.vectors]
-    return sorted(walls)
+    return sorted(perp.matrix.apply(x) for x in report.vectors)
 
 
 def in_cn(n: Lattice, v: Sequence[int]) -> bool:
@@ -128,74 +138,70 @@ class PolarizationSearchResult:
     searched_norm_limit: int
     searched_box: int
     exhaustive: bool
-
-
-def _candidate_key(norm: int, vec: Vector):
-    # deterministic order: by square, then componentwise with nonnegative
-    # entries ranked before negative ones of the same magnitude
-    return (norm, tuple((0, x) if x >= 0 else (1, -x) for x in vec))
+    candidates: int = 0  # box vectors with 0 < v^2 <= searched_norm_limit
+    walls_tested: int = 0  # wall tests run, the hit's own included
 
 
 def _box_candidates(n: Lattice, norm_limit: int, coeff_box: int) -> list[tuple[int, Vector]]:
-    out = []
+    """All (v^2, v) with |coordinates| <= coeff_box and 0 < v^2 <= norm_limit,
+    in candidate order: by v^2, then componentwise with nonnegative entries
+    ranked before negative ones of the same magnitude.
 
-    def rec(i: int, acc: list[int]):
-        if i == n.rank:
-            vec = tuple(acc)
-            q = n.norm(vec)
-            if 0 < q <= norm_limit:
-                out.append((q, vec))
+    One depth-first walk over the box carries the square q of the prefix and
+    s = G prefix, so a child costs O(rank) and a leaf O(1):
+    q + t (2 s_i + g_ii t).  Each coordinate runs 0, 1, ..., B, -1, ..., -B,
+    the componentwise order, so the walk meets vectors in that order and
+    each norm shell, filled by appending, is already sorted.
+    """
+    gram = n.gram.tolists()
+    last = n.rank - 1
+    order = list(range(coeff_box + 1)) + list(range(-1, -coeff_box - 1, -1))
+    shells: dict[int, list[tuple[int, Vector]]] = {}  # keyed by v^2: norm_limit may be huge
+
+    def walk(i: int, prefix: Vector, q: int, s: list[int]) -> None:
+        gii, si = gram[i][i], 2 * s[i]
+        if i == last:
+            for t in order:
+                norm = q + t * (si + gii * t)
+                if 0 < norm <= norm_limit:
+                    shells.setdefault(norm, []).append((norm, prefix + (t,)))
             return
-        for t in range(-coeff_box, coeff_box + 1):
-            acc.append(t)
-            rec(i + 1, acc)
-            acc.pop()
+        column = gram[i]  # G is symmetric
+        for t in order:
+            walk(i + 1, prefix + (t,), q + t * (si + gii * t),
+                 [a + t * b for a, b in zip(s, column)])
 
-    rec(0, [])
-    out.sort(key=lambda item: _candidate_key(*item))
-    return out
+    walk(0, (), 0, [0] * n.rank)
+    return [item for norm in sorted(shells) for item in shells[norm]]
 
 
-def min_polarization_degree(n: Lattice, norm_limit: int = 20, coeff_box: int = 10,
-                            jobs: int = 1) -> PolarizationSearchResult:
+def min_polarization_degree(n: Lattice, norm_limit: int = 20,
+                            coeff_box: int = 10) -> PolarizationSearchResult:
     """Smallest v^2 over box candidates passing the wall test.
 
-    Scans every v with |coordinates| <= coeff_box and 0 < v^2 <= norm_limit in
-    increasing v^2 (deterministic tie-break) and returns the first member of
-    the cone, a certified upper bound for the true minimal degree.  Exhaustive
-    only in rank 1, where the generator settles the question.  The lattice
-    is checked to be hyperbolic once; every candidate has v^2 > 0, so the
-    scan runs the wall test directly.
+    Scans every v with |coordinates| <= coeff_box and 0 < v^2 <= norm_limit
+    shell by shell in increasing v^2, each shell in componentwise order
+    (nonnegative entries before negative ones of the same magnitude), and
+    returns the first member of the cone, a certified upper bound for the
+    true minimal degree.  Exhaustive only in rank 1, where the generator
+    settles the question.  The lattice is checked to be hyperbolic once;
+    every candidate has v^2 > 0, so the scan runs the wall test directly,
+    sequentially.  `candidates` counts the box vectors in range and
+    `walls_tested` the wall tests run, the hit's own included.
     """
     _require_hyperbolic(n)
     if norm_limit <= 0 or coeff_box <= 0:
         raise ValueError("limits must be positive")
     candidates = _box_candidates(n, norm_limit, coeff_box)
-    if jobs > 1 and n.rank > 1:
-        hit = _parallel_scan(n, candidates, jobs)
-    else:
-        hit = _scan_chunk((n, candidates))
-    degree, certificate = hit or (None, None)
-    return PolarizationSearchResult(n, degree, certificate, norm_limit, coeff_box, n.rank == 1)
-
-
-def _parallel_scan(n: Lattice, candidates, jobs: int):
-    """Split the ordered candidate list across processes; the merged result is
-    the globally first hit because chunks preserve the order."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunks = [candidates[i::jobs] for i in range(jobs)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(_scan_chunk, [(n, chunk) for chunk in chunks]))
-    hits = [r for r in results if r is not None]
-    if not hits:
-        return None
-    return min(hits, key=lambda item: _candidate_key(*item))
-
-
-def _scan_chunk(args):
-    n, chunk = args
-    return next(((q, vec) for q, vec in chunk if not _walls(n, vec)), None)
+    degree = certificate = None
+    tested = 0
+    for q, vec in candidates:
+        tested += 1
+        if not _walls(n, vec):
+            degree, certificate = q, vec
+            break
+    return PolarizationSearchResult(n, degree, certificate, norm_limit, coeff_box, n.rank == 1,
+                                    len(candidates), tested)
 
 
 def verify_certificate(n: Lattice, v: Sequence[int], claimed_degree: int) -> bool:

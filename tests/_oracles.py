@@ -4,8 +4,9 @@ from fractions import Fraction
 from itertools import product
 
 from k3lattices.clifford import CliffordElement, _anti_fixed_basis, reversal
-from k3lattices.lattices import Lattice
+from k3lattices.lattices import Lattice, orthogonal_complement, sublattice_embedding
 from k3lattices.linalg import IntMatrix, det_exact, rational_inverse, smith_normal_form
+from k3lattices.roots import short_vectors
 
 
 def box_oracle(lat: Lattice, norm: int) -> set:
@@ -41,6 +42,34 @@ def box_oracle(lat: Lattice, norm: int) -> set:
         for row in tails[total == norm]:
             hits.add(head + tuple(int(x) for x in row))
     return hits
+
+
+def candidate_key(norm: int, vec: tuple):
+    """Candidate order of the mindeg scan: by square, then componentwise with
+    nonnegative entries ranked before negative ones of the same magnitude."""
+    return (norm, tuple((0, x) if x >= 0 else (1, -x) for x in vec))
+
+
+def box_candidates_oracle(lat: Lattice, norm_limit: int, coeff_box: int) -> list:
+    """Every (v^2, v) in the coefficient box with 0 < v^2 <= norm_limit, each
+    square by `Lattice.norm`, the whole list sorted by `candidate_key`."""
+    out = []
+    for vec in product(range(-coeff_box, coeff_box + 1), repeat=lat.rank):
+        q = lat.norm(vec)
+        if 0 < q <= norm_limit:
+            out.append((q, vec))
+    out.sort(key=lambda item: candidate_key(*item))
+    return out
+
+
+def walls_by_complement_oracle(lat: Lattice, v: tuple) -> list:
+    """Sorted (-2)-vectors orthogonal to v, through the Smith-form complement
+    of the rank-1 sublattice spanned by v."""
+    if lat.rank == 1:
+        return []
+    perp = orthogonal_complement(sublattice_embedding(lat, [v]))
+    flipped = Lattice(perp.source.rank, -perp.source.gram)
+    return sorted(perp.matrix.apply(x) for x in short_vectors(flipped, 2).vectors)
 
 
 def rank2_reduced_oracle(max_disc: int) -> set:

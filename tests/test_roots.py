@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from _oracles import box_oracle
+from _oracles import box_candidates_oracle, box_oracle, walls_by_complement_oracle
 from k3lattices.lattices import (
     Lattice,
     direct_sum,
@@ -12,8 +12,10 @@ from k3lattices.lattices import (
     rank_one,
     reflection,
 )
-from k3lattices.linalg import IntMatrix
+from k3lattices.linalg import IntMatrix, content
 from k3lattices.roots import (
+    _box_candidates,
+    _walls,
     in_cn,
     min_polarization_degree,
     minus_two_walls_through,
@@ -148,8 +150,48 @@ def test_in_cn_sign_and_isometry_invariance():
         assert in_cn(lat, s.apply(v)) == flag
 
 
+def random_hyperbolic(rng, rank):
+    """U(m) + T(-1) for a random positive definite T (or <2d> in rank 1), in a
+    basis moved by random column operations."""
+    if rank == 1:
+        return rank_one(2 * rng.randint(1, 4))
+    m = rng.choice((1, 1, 2))
+    plane = Lattice(2, IntMatrix([[rng.choice((0, 0, 2, -2)), m], [m, 0]]))
+    lat = direct_sum(plane, Lattice(rank - 2, -random_posdef(rng, rank - 2).gram)) if rank > 2 else plane
+    u = IntMatrix(random_column_moves(rng, rank, rng.randint(0, 4)))
+    return Lattice(rank, u.transpose() @ lat.gram @ u)
+
+
+def test_walls_match_complement_oracle():
+    rng = random.Random(43)
+    tested = zeros = multiples = 0
+    while tested < 150:
+        lat = random_hyperbolic(rng, rng.randint(1, 5))
+        v = tuple(rng.choice((0, rng.randint(-5, 5))) * rng.choice((1, 1, 2, 3)) for _ in range(lat.rank))
+        if lat.norm(v) <= 0:
+            continue
+        assert _walls(lat, v) == walls_by_complement_oracle(lat, v)
+        tested += 1
+        zeros += 0 in v
+        multiples += content(v) > 1
+    assert zeros > 20 and multiples > 20
+
+
 # ---------------------------------------------------------------------------
 # minimal polarization degree
+
+
+def test_box_candidates_match_oracle():
+    rng = random.Random(47)
+    lattices = [hyperbolic_u(), direct_sum(rank_one(2), rank_one(-2))]
+    lattices += [random_hyperbolic(rng, rank) for rank in (1, 2, 3, 4, 5) for _ in range(5)]
+    for lat in lattices:
+        assert lat.signature() == (1, lat.rank - 1, 0)
+        box = rng.randint(1, 4 if lat.rank < 5 else 3)
+        norm_limit = rng.randint(1, 20)
+        assert _box_candidates(lat, norm_limit, box) == box_candidates_oracle(lat, norm_limit, box)
+    for box in (1, 2, 3, 4):
+        assert _box_candidates(hyperbolic_u(), 20, box) == box_candidates_oracle(hyperbolic_u(), 20, box)
 
 
 def brute_min_degree(lat, norm_limit, box):
@@ -179,6 +221,8 @@ def test_mindeg_u():
     assert not res.exhaustive
     assert verify_certificate(hyperbolic_u(), res.certificate, 4)
     assert res.upper_bound == brute_min_degree(hyperbolic_u(), 20, 10)
+    huge = min_polarization_degree(hyperbolic_u(), norm_limit=10**12, coeff_box=3)
+    assert (huge.upper_bound, huge.certificate) == (4, (1, 2))
 
 
 def test_mindeg_2_minus_2():
@@ -198,11 +242,21 @@ def test_mindeg_monotone_in_limits():
     assert large.upper_bound <= small.upper_bound
 
 
-def test_mindeg_parallel_matches_sequential():
-    lat = direct_sum(rank_one(2), rank_one(-2))
-    seq = min_polarization_degree(lat, norm_limit=20, coeff_box=6)
-    par = min_polarization_degree(lat, norm_limit=20, coeff_box=6, jobs=2)
-    assert (seq.upper_bound, seq.certificate) == (par.upper_bound, par.certificate)
+def test_mindeg_counters_match_oracle():
+    cases = [(hyperbolic_u(), 20, 10, 4), (direct_sum(rank_one(2), rank_one(-2)), 20, 10, 6),
+             (hyperbolic_u(), 3, 4, None)]  # on U at norm <= 3 only (1,1) and (-1,-1) qualify
+    for lat, norm_limit, box, degree in cases:
+        res = min_polarization_degree(lat, norm_limit=norm_limit, coeff_box=box)
+        oracle = box_candidates_oracle(lat, norm_limit, box)
+        hits = [i for i, (_, v) in enumerate(oracle) if not walls_by_complement_oracle(lat, v)]
+        assert res.upper_bound == degree
+        assert res.candidates == len(oracle)
+        if hits:
+            assert (res.upper_bound, res.certificate) == oracle[hits[0]]
+            assert res.walls_tested == hits[0] + 1
+        else:
+            assert res.certificate is None
+            assert res.walls_tested == res.candidates == 2
 
 
 def test_mindeg_checks_signature_once(monkeypatch):
