@@ -6,8 +6,9 @@ e_i e_j + e_j e_i = 2 b(e_i, e_j) and e_i^2 = b(e_i, e_i), so the algebra is
 integral for every integer Gram matrix.  Product and trace tables live in one
 private `CliffordAlgebra` per host lattice, freed with the host.  Traces on the
 2^n-dimensional left-regular module have the closed form Tr(L_{e_S}) =
-2^n Pf(B_S), B_S the Gram of the e_i, i in S (Wick's rule); matrix
-realizations live on that module and are capped at rank 10 by default.
+2^n Pf(B_S), B_S the Gram of the e_i, i in S (Wick's rule), so traces need
+no matrix at any rank.  Only what builds a matrix on that module is capped:
+2^n x 2^n realizations at rank MATRIX_RANK_CAP, phi-Grams at PHI_RANK_CAP.
 """
 
 from __future__ import annotations
@@ -235,10 +236,10 @@ class EndoMatrix:
             raise ValueError("endomorphism matrix must be dim x dim")
 
 
-def left_mul_matrix(x: CliffordElement, cap: int = MATRIX_RANK_CAP) -> EndoMatrix:
+def left_mul_matrix(x: CliffordElement) -> EndoMatrix:
     n = x.host.rank
-    if n > cap:
-        raise ValueError(f"rank {n} exceeds the matrix cap {cap}")
+    if n > MATRIX_RANK_CAP:
+        raise ValueError(f"rank {n} exceeds the matrix cap {MATRIX_RANK_CAP}")
     dim = 1 << n
     alg, cols = _algebra(x.host), [x.coeffs]
     for m in range(1, dim):  # x e_m = (x e_{m - top}) e_top
@@ -312,8 +313,7 @@ def _anti_fixed_basis(host: Lattice) -> list[CliffordElement]:
     return out
 
 
-def find_polarization_element(host: Lattice, cap: int = PHI_RANK_CAP,
-                              max_support: int = 2) -> PolarizationElement:
+def find_polarization_element(host: Lattice) -> PolarizationElement:
     """Search for a with phi_a alternating and nondegenerate.
 
     Candidates are integer combinations of the reversal's -1 eigenvectors
@@ -325,18 +325,18 @@ def find_polarization_element(host: Lattice, cap: int = PHI_RANK_CAP,
     If det G = 0, no candidate passes: a radical vector of L spans a nilpotent
     ideal of C(L), on which every trace vanishes, so det B' = 0.
     """
-    if host.rank > cap:
-        raise ValueError(f"rank {host.rank} exceeds the phi-gram cap {cap}")
+    if host.rank > PHI_RANK_CAP:
+        raise ValueError(f"rank {host.rank} exceeds the phi-gram cap {PHI_RANK_CAP}")
     alg = _algebra(host)
     dim = 1 << host.rank
     basis = _anti_fixed_basis(host)
     coeff_choices = (1, -1, 2, -2)
-    pairs = combinations(basis, 2) if max_support >= 2 else ()
     candidates = chain((w.scale(c) for w in basis for c in coeff_choices),
-                       (v.scale(cv) + w.scale(cw) for v, w in pairs for cv in coeff_choices for cw in coeff_choices))
+                       (v.scale(cv) + w.scale(cw) for v, w in combinations(basis, 2)
+                        for cv in coeff_choices for cw in coeff_choices))
     tried = 0
     if det_exact(host.gram) == 0:
-        tried = len(coeff_choices) * len(basis) + len(coeff_choices) ** 2 * comb(len(basis), 2) * (max_support >= 2)
+        tried = len(coeff_choices) * len(basis) + len(coeff_choices) ** 2 * comb(len(basis), 2)
     else:
         for a in candidates:
             tried += 1
@@ -348,7 +348,7 @@ def find_polarization_element(host: Lattice, cap: int = PHI_RANK_CAP,
                     return PolarizationElement(a, g, tried)
     raise ValueError(
         f"no polarization element found: searched {tried} candidates over "
-        f"{len(basis)} anti-fixed basis elements with support <= {max_support}, "
+        f"{len(basis)} anti-fixed basis elements with support <= 2, "
         f"coefficients in {coeff_choices}")
 
 
@@ -401,12 +401,9 @@ def conjugation_preserves_lattice(pair: GspinPair, host: Lattice) -> Conjugation
     return ConjugationReport(True, None, tuple(images))
 
 
-def trace_pairing_identity(v: Sequence[int], w: Sequence[int], host: Lattice,
-                           cap: int = MATRIX_RANK_CAP) -> tuple[int, int]:
+def trace_pairing_identity(v: Sequence[int], w: Sequence[int], host: Lattice) -> tuple[int, int]:
     """(Tr(L_v L_w), 2^n b(v,w)); the two agree because vw + wv = 2b(v,w)
     and odd monomials are traceless on the left-regular module."""
-    if host.rank > cap:
-        raise ValueError(f"rank {host.rank} exceeds the matrix cap {cap}")
     lhs = trace_of_left_mul(CliffordElement.from_vector(host, v) * CliffordElement.from_vector(host, w))
     rhs = (1 << host.rank) * host.pairing(v, w)
     if lhs != rhs:
@@ -414,7 +411,7 @@ def trace_pairing_identity(v: Sequence[int], w: Sequence[int], host: Lattice,
     return lhs, rhs
 
 
-def project_endo_to_l(f: EndoMatrix, host: Lattice, cap: int = MATRIX_RANK_CAP) -> tuple[int, ...]:
+def project_endo_to_l(f: EndoMatrix, host: Lattice) -> tuple[int, ...]:
     """Recover the vector part of an endomorphism of C(L), integrally.
 
     c_i = Tr(f . L_{e_i dual}) / 2^n; unimodularity makes the dual basis
@@ -422,8 +419,8 @@ def project_endo_to_l(f: EndoMatrix, host: Lattice, cap: int = MATRIX_RANK_CAP) 
     """
     if not host.is_unimodular():
         raise ValueError("integral projection needs a unimodular host")
-    if host.rank > cap:
-        raise ValueError(f"rank {host.rank} exceeds the matrix cap {cap}")
+    if host.rank > MATRIX_RANK_CAP:
+        raise ValueError(f"rank {host.rank} exceeds the matrix cap {MATRIX_RANK_CAP}")
     n, dim = host.rank, 1 << host.rank
     if f.dim != dim:
         raise ValueError("endomorphism dimension does not match the host")
@@ -431,7 +428,7 @@ def project_endo_to_l(f: EndoMatrix, host: Lattice, cap: int = MATRIX_RANK_CAP) 
     coords = []
     for i in range(n):
         dual = CliffordElement.from_vector(host, ginv.column(i))
-        lmat = left_mul_matrix(dual, cap).entries
+        lmat = left_mul_matrix(dual).entries
         tr = sum(sum(f.entries[r, k] * lmat[k, r] for k in range(dim)) for r in range(dim))
         if tr % dim != 0:
             raise AssertionError(f"trace quotient not divisible by 2^n for dual vector {i}: {tr}")

@@ -97,9 +97,6 @@ class LatticeEmbedding:
         if det_exact(bt @ self.matrix) == 0:
             raise ValueError("embedding columns are linearly dependent")
 
-    def image_vectors(self) -> list[Vector]:
-        return self.matrix.columns()
-
 
 @dataclass(frozen=True)
 class Isometry:

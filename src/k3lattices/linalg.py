@@ -24,7 +24,7 @@ class IntMatrix:
 
     __slots__ = ("rows", "cols", "_entries")
 
-    def __init__(self, entries: Sequence[Sequence[int]], rows: int | None = None, cols: int | None = None):
+    def __init__(self, entries: Sequence[Sequence[int]], cols: int | None = None):
         data = tuple(tuple(int(x) for x in row) for row in entries)
         if data:
             width = len(data[0])
@@ -32,7 +32,7 @@ class IntMatrix:
                 raise ValueError("ragged rows")
         else:
             width = 0 if cols is None else cols
-        self.rows = len(data) if rows is None else rows
+        self.rows = len(data)
         self.cols = width
         self._entries = data
 
@@ -477,16 +477,17 @@ def ldlt(gram: IntMatrix) -> tuple[list[int], list[list[int]]]:
     return minors, [row[: i + 1] for i, row in enumerate(a)]
 
 
-def lll_reduce_gram(gram: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+def lll_reduce_gram(gram: IntMatrix) -> tuple[list[int], list[list[int]], list[list[int]]]:
     """Integral LLL reduction (delta = 3/4) of a positive definite Gram matrix.
 
     Cohen, GTM 138, Alg. 2.6.7 in Gram form.  It keeps d_k, the Gram
     determinant of the first k basis vectors, and lambda_kl = d_l mu_kl, all
     integers; `ldlt` supplies both for the input basis (lambda_kl is its
     numerator M_kl) and raises if the matrix is not positive definite.  Every
-    update divides exactly.  Returns (reduced, u) with u unimodular, its
-    columns the new basis, and reduced = u^T gram u, which satisfies
-    |2 lambda_kl| <= d_l for l < k and 4 d_k d_{k-2} >= 3 d_{k-1}^2 - 4 lambda_{k,k-1}^2.
+    update divides exactly.  Returns (d, lam, basis), basis[k] the coordinates
+    of reduced vector k: for the unimodular U with these columns,
+    (d, lam) == ldlt(U^T gram U), |2 lambda_kl| <= d_l for l < k and
+    4 d_k d_{k-2} >= 3 d_{k-1}^2 - 4 lambda_{k,k-1}^2.
     """
     n = gram.rows
     d, lam = ldlt(gram)  # d[k] is d_k; basis vector k (0-based) pairs with d[k + 1]
@@ -512,7 +513,7 @@ def lll_reduce_gram(gram: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             t = lam[i][k]
             lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
             lam[i][k - 1] = (b * t + lk * lam[i][k]) // d[k + 1]
-        d[k] = b
+        d[k] = lam[k - 1][k - 1] = b  # keeps lam[i][i] == d[i + 1], as in `ldlt`
 
     k = 1
     while k < n:
@@ -524,5 +525,4 @@ def lll_reduce_gram(gram: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             for l in range(k - 2, -1, -1):
                 reduce(k, l)
             k += 1
-    u = IntMatrix(basis, cols=n).transpose()
-    return u.transpose() @ gram @ u, u
+    return d, lam, basis

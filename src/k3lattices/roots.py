@@ -1,16 +1,17 @@
 """Short-vector enumeration and the (-2)-wall test for polarization degrees.
 
 `short_vectors` is integral LLL, then fraction-free Fincke-Pohst, provably
-complete: an all-integer LDL^T of the reduced Gram plus depth-first
-coordinate bounding with integer square roots, so the reported list is
-exact.  On a hyperbolic lattice (signature (1, rank-1)) the vectors w with
-w^2 = -2 orthogonal to a fixed v of positive square live in the negative
-definite complement v-perp, which makes the wall test finite.  v-perp is
-the kernel of the row G v, whose saturated basis comes from unimodular
-column operations on that row (one extended-gcd step per entry), not from a
-Smith form.  `min_polarization_degree` walks the coefficient box once,
-carrying partial squares, into norm shells already in candidate order, and
-runs the wall test on them in increasing v^2.
+complete: the all-integer LDL^T that LLL keeps for the reduced basis (one
+symmetric Bareiss pass per search) plus depth-first coordinate bounding with
+integer square roots, so the reported list is exact.  On a hyperbolic
+lattice (signature (1, rank-1)) the vectors w with w^2 = -2 orthogonal to a
+fixed v of positive square live in the negative definite complement v-perp,
+which makes the wall test finite.  v-perp is the kernel of the row G v,
+whose saturated basis comes from unimodular column operations on that row
+(one extended-gcd step per entry), not from a Smith form.
+`min_polarization_degree` walks the coefficient box once, carrying partial
+squares, into norm shells already in candidate order, and runs the wall test
+on them in increasing v^2.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from math import isqrt, lcm
 from typing import Sequence
 
 from .lattices import Lattice, sublattice_embedding
-from .linalg import _unimodular_completion, ldlt, lll_reduce_gram
+from .linalg import _unimodular_completion, lll_reduce_gram
 
 Vector = tuple[int, ...]
 
@@ -39,32 +40,31 @@ class ShortVectorReport:
 def short_vectors(n: Lattice, target_norm: int) -> ShortVectorReport:
     """All v with v^T G v equal to target_norm in a positive definite lattice.
 
-    Integral LLL, then fraction-free Fincke-Pohst, provably complete.  On the
-    reduced Gram, with the integer data of `ldlt` and C_i = sum_{j>i} M_ji x_j,
-    the norm is sum_i (D_{i+1} x_i + C_i)^2 / (D_i D_{i+1}).  Scaling by
+    Integral LLL, then fraction-free Fincke-Pohst, provably complete, on one
+    LDL^T: LLL's own d_k and lambda_kl are the integer data of `ldlt` for the
+    reduced basis.  With C_i = sum_{j>i} M_ji x_j, the norm is
+    sum_i (D_{i+1} x_i + C_i)^2 / (D_i D_{i+1}).  Scaling by
     N = lcm(D_i D_{i+1}) with w_i = N / (D_i D_{i+1}) leaves an integer budget,
     and each coordinate, from the last one down, runs over exactly the x_i with
-    w_i (D_{i+1} x_i + C_i)^2 within what is left.  Hits are mapped back
-    through the unimodular transform.
+    w_i (D_{i+1} x_i + C_i)^2 within what is left.  Hits are sums of the
+    reduced basis vectors.
     """
     if target_norm <= 0:
         raise ValueError("target norm must be positive")
     try:
-        reduced, u = lll_reduce_gram(n.gram)
+        minors, numer, basis = lll_reduce_gram(n.gram)
     except ValueError:
         raise ValueError("short-vector enumeration needs a positive definite lattice") from None
     rank = n.rank
     if rank == 0:
         return ShortVectorReport(n, target_norm, ())
-    minors, numer = ldlt(reduced)
     denominators = [minors[i] * minors[i + 1] for i in range(rank)]
     scale = lcm(*denominators)
     weights = [scale // q for q in denominators]
-    columns = u.columns()
     found: list[Vector] = []
 
     def descend(i: int, remaining: int, centers: list[int], image: list[int]) -> None:
-        # centers[l] is C_l for l <= i; image is u applied to the coordinates chosen so far
+        # centers[l] is C_l for l <= i; image is sum x_l basis[l] over the x_l chosen so far
         center, pivot, weight = centers[i], minors[i + 1], weights[i]
         root = isqrt(remaining // weight)
         if i == 0:
@@ -74,14 +74,14 @@ def short_vectors(n: Lattice, target_norm: int) -> ShortVectorReport:
             for y in (root, -root) if root else (0,):
                 x, r = divmod(y - center, pivot)
                 if r == 0:  # built from a list, so the kept tuple has its exact size
-                    found.append(tuple([a + x * b for a, b in zip(image, columns[0])]))
+                    found.append(tuple([a + x * b for a, b in zip(image, basis[0])]))
             return
-        row, column = numer[i], columns[i]
+        row, vector = numer[i], basis[i]
         for x in range(-((root + center) // pivot), (root - center) // pivot + 1):
             y = pivot * x + center
             descend(i - 1, remaining - weight * y * y,
                     [c + x * m for c, m in zip(centers, row)],
-                    [a + x * b for a, b in zip(image, column)])
+                    [a + x * b for a, b in zip(image, vector)])
 
     descend(rank - 1, scale * target_norm, [0] * rank, [0] * rank)
     found.sort()

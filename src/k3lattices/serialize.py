@@ -94,10 +94,6 @@ def embedding_from_obj(obj: dict) -> LatticeEmbedding:
     )
 
 
-def isometry_to_obj(iso: Isometry) -> dict:
-    return {"lattice": lattice_to_obj(iso.lattice), "matrix": iso.matrix.tolists()}
-
-
 def isometry_from_obj(obj: dict) -> Isometry:
     return Isometry(lattice_from_obj(_field(obj, "lattice", "an isometry")),
                     _parse_matrix(_field(obj, "matrix", "an isometry")))
@@ -114,6 +110,9 @@ def clifford_from_obj(obj: dict, host: Lattice | None = None) -> CliffordElement
         raise ValueError("Clifford terms must be a list")
     if host is None:
         host = lattice_from_obj(obj)
+    elif _parse_int(obj.get("rank", host.rank)) != host.rank or (
+            "gram" in obj and _parse_matrix(obj["gram"]) != host.gram):
+        raise ValueError("elements live over different host lattices")
     coeffs = {_parse_int(_field(t, "mask", "a Clifford term")): _parse_int(_field(t, "coeff", "a Clifford term"))
               for t in terms}
     return CliffordElement(host, coeffs)

@@ -132,6 +132,8 @@ def test_clifford_mul_and_find_a():
     code, out = run_cli(["clifford", "mul"], stdin_text=json.dumps({"x": x, "y": y}))
     assert code == 0
     assert json.loads(out)["terms"] == [{"mask": 3, "coeff": "1"}]
+    code, bare = run_cli(["clifford", "mul"], stdin_text=json.dumps({"x": x, "y": {"terms": y["terms"]}}))
+    assert (code, bare) == (0, out)  # y without rank and gram lives over x's host
     code, out = run_cli(["clifford", "find-a"], stdin_text=json.dumps(host_obj))
     assert code == 0
     payload = json.loads(out)
@@ -205,6 +207,19 @@ def test_big_int_string_rendering(tmp_path):
     (["check-disc-complement"], "[1]"),
     (["clifford", "project"], '{"lattice":{"rank":1,"gram":[[1]]},"endo":5}'),
     pytest.param(["lattice", "info"], "[" * 5000 + "]" * 5000, id="deeply-nested-json"),
+    pytest.param(["clifford", "mul"],
+                 '{"x":{"rank":2,"gram":[[0,1],[1,0]],"terms":[{"mask":1,"coeff":"1"}]},'
+                 '"y":{"rank":2,"gram":[[1,0],[0,1]],"terms":[{"mask":1,"coeff":"1"}]}}',
+                 id="mul-y-over-other-gram"),
+    pytest.param(["clifford", "mul"],
+                 '{"x":{"rank":2,"gram":[[0,1],[1,0]],"terms":[{"mask":1,"coeff":"1"}]},'
+                 '"y":{"rank":3,"terms":[{"mask":1,"coeff":"1"}]}}',
+                 id="mul-y-over-other-rank"),
+    pytest.param(["clifford", "phi-a"],
+                 '{"x":{"rank":1,"gram":[[1]],"terms":[{"mask":1,"coeff":"1"}]},'
+                 '"y":{"terms":[{"mask":1,"coeff":"1"}]},'
+                 '"a":{"rank":1,"gram":[[2]],"terms":[{"mask":1,"coeff":"1"}]}}',
+                 id="phi-a-a-over-other-gram"),
 ])
 def test_malformed_input_gives_one_error_line(argv, stdin_text):
     src = str(Path(cli.__file__).resolve().parents[1])

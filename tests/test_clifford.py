@@ -24,7 +24,7 @@ from k3lattices.clifford import (
     trace_of_left_mul,
     trace_pairing_identity,
 )
-from k3lattices.lattices import Lattice, direct_sum, e8, hyperbolic_u, rank_one
+from k3lattices.lattices import Lattice, direct_sum, e8, hyperbolic_u, k3_lattice, rank_one
 from k3lattices.linalg import IntMatrix, det_exact, det_mod
 
 I1 = rank_one(1)
@@ -471,6 +471,18 @@ def test_trace_pairing_random_even_lattice():
         w = tuple(rng.randint(-3, 3) for _ in range(4))
         lhs, rhs = trace_pairing_identity(v, w, host)
         assert lhs == rhs == 16 * host.pairing(v, w)
+
+
+def test_trace_pairing_k3_lattice_needs_no_cap():
+    host = k3_lattice()
+    rng = random.Random(22)
+    for _ in range(5):
+        v = tuple(rng.randint(-3, 3) for _ in range(22))
+        w = tuple(rng.randint(-3, 3) for _ in range(22))
+        b = host.pairing(v, w)
+        assert trace_pairing_identity(v, w, host) == (2 ** 22 * b, 2 ** 22 * b)
+    e0 = (1,) + (0,) * 21
+    assert trace_pairing_identity(e0, e0, host) == (2 ** 23, 2 ** 23)  # e0^2 = 2
 
 
 def test_project_round_trip_i2():

@@ -425,9 +425,11 @@ def skewed_definite_grams(draw):
 @settings(max_examples=150, deadline=None)
 @given(skewed_definite_grams())
 def test_lll_reduce_gram_is_reduced(g):
-    reduced, u = lll_reduce_gram(g)
-    assert u.transpose() @ g @ u == reduced
+    d_out, lam_out, basis = lll_reduce_gram(g)
+    u = IntMatrix.from_columns(basis, g.rows)
     assert det_exact(u) in (1, -1)
+    reduced = u.transpose() @ g @ u
+    assert (d_out, lam_out) == ldlt(reduced)
     # d[k] is the Gram determinant of the first k vectors, lam[k][l] = d_{l+1} mu_kl
     mu, b_star_sq = gram_schmidt_oracle(reduced)
     d = [Fraction(1)]

@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from _oracles import box_candidates_oracle, box_oracle, walls_by_complement_oracle
+from k3lattices import linalg
 from k3lattices.lattices import (
     Lattice,
     direct_sum,
@@ -97,6 +98,26 @@ def test_short_vectors_skewed_e8_maps_to_dynkin_roots():
         vectors = short_vectors(skewed, 2).vectors
         assert len(vectors) == 240
         assert {u.apply(x) for x in vectors} == dynkin
+
+
+def test_short_vectors_factors_once(monkeypatch):
+    calls = []
+    original_ldlt, original_matmul = linalg.ldlt, IntMatrix.__matmul__
+
+    def counted_ldlt(gram):
+        calls.append("ldlt")
+        return original_ldlt(gram)
+
+    def counted_matmul(self, other):
+        calls.append("matmul")
+        return original_matmul(self, other)
+
+    u = IntMatrix(random_column_moves(random.Random(1), 8, 60))
+    skewed = Lattice(8, u.transpose() @ e8().gram @ u)
+    monkeypatch.setattr(linalg, "ldlt", counted_ldlt)
+    monkeypatch.setattr(IntMatrix, "__matmul__", counted_matmul)
+    assert short_vectors(skewed, 2).count() == 240
+    assert calls == ["ldlt"]
 
 
 def test_short_vectors_rejects_indefinite():
