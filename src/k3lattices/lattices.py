@@ -15,7 +15,6 @@ from typing import Sequence
 
 from .linalg import (
     IntMatrix,
-    RatMatrix,
     bezout_combination,
     content,
     det_exact,
@@ -388,13 +387,15 @@ def eichler_transvection(f: Sequence[int], a: Sequence[int], n: Lattice) -> Isom
 
 
 def in_discriminant_kernel(g: Isometry) -> bool:
-    """True iff g fixes every class of the discriminant group of its lattice."""
-    n = g.lattice
-    disc = discriminant_group(n)
-    grat = RatMatrix.from_int(g.matrix)
-    for gen in disc.generators:
-        image = grat.apply(gen)
-        if any((x - y).denominator != 1 for x, y in zip(image, gen)):
+    """True iff g fixes every class of the discriminant group of its lattice.
+
+    A generator of order d lifts to w / d with w integral, and g fixes its
+    class iff d divides every entry of g w - w.
+    """
+    disc = discriminant_group(g.lattice)
+    for d, gen in zip(disc.invariant_factors, disc.generators):
+        w = [int(d * x) for x in gen]
+        if any((y - x) % d for x, y in zip(w, g.apply(w))):
             return False
     return True
 

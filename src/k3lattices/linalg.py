@@ -5,8 +5,7 @@ entries stay integer minors, so each division is exact.  One symmetric pass
 serves LDL^T and Sylvester signatures; determinants and the Gauss-Jordan
 inverse (integer numerators over one determinant, wrapped as a `RatMatrix`)
 use the same update.  Smith normal form with transforms serves where Smith
-data is the answer, as for saturated kernels; the kernel of a single row
-comes from extended-gcd column steps instead.  Integral LLL builds on LDL^T.
+data is the answer, as for saturated kernels.  Integral LLL builds on LDL^T.
 `det_mod` eliminates over GF(p) instead: a nonzero residue is a cheap proof
 that a determinant is nonzero.
 """
@@ -429,36 +428,21 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def bezout_combination(vec: Sequence[int]) -> tuple[int, list[int]]:
-    """(g, coeffs) with sum(coeffs[i] * vec[i]) = g = content(vec)."""
-    g, columns = _unimodular_completion(vec)
-    return g, list(columns[0]) if g else [0] * len(vec)
+    """(g, coeffs) with sum(coeffs[i] * vec[i]) = g = content(vec).
 
-
-def _unimodular_completion(row: Sequence[int]) -> tuple[int, list[tuple[int, ...]]]:
-    """(g, columns of U) with U unimodular and row U = (g, 0, ..., 0), g = content(row).
-
-    Column 0 starts as +-e_0 and takes one extended-gcd step against each
-    column j with row_j != 0, which leaves row . (column j) = 0.  Column 0 is
-    then a Bezout combination of the row and, for a nonzero row, columns
-    1..n-1 are a basis of its kernel in Z^n, saturated because U is
-    unimodular.
+    The coefficients start as +-e_0 and take one extended-gcd step against
+    each later nonzero entry; the zero vector gets zero coefficients.
     """
-    n = len(row)
-    cols = [[int(i == j) for i in range(n)] for j in range(n)]
-    g = abs(row[0]) if n else 0
-    if g and row[0] < 0:
-        cols[0][0] = -1
-    for j in range(1, n):
-        b = row[j]
-        if b == 0:
-            continue
-        d, s, t = _xgcd(g, b)
-        a, b = g // d, b // d  # [[s, -b], [t, a]] has det (s g + t b) / d = 1
-        c0, cj = cols[0], cols[j]
-        cols[0] = [s * x + t * y for x, y in zip(c0, cj)]
-        cols[j] = [a * y - b * x for x, y in zip(c0, cj)]
-        g = d
-    return g, [tuple(c) for c in cols]
+    coeffs = [0] * len(vec)
+    g = abs(vec[0]) if vec else 0
+    if g:
+        coeffs[0] = 1 if vec[0] > 0 else -1
+    for j in range(1, len(vec)):
+        if vec[j]:
+            g, s, t = _xgcd(g, vec[j])
+            coeffs = [s * x for x in coeffs]
+            coeffs[j] = t
+    return g, coeffs
 
 
 def ldlt(gram: IntMatrix) -> tuple[list[int], list[list[int]]]:

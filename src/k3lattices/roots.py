@@ -6,9 +6,8 @@ symmetric Bareiss pass per search) plus depth-first coordinate bounding with
 integer square roots, so the reported list is exact.  On a hyperbolic
 lattice (signature (1, rank-1)) the vectors w with w^2 = -2 orthogonal to a
 fixed v of positive square live in the negative definite complement v-perp,
-which makes the wall test finite.  v-perp is the kernel of the row G v,
-whose saturated basis comes from unimodular column operations on that row
-(one extended-gcd step per entry), not from a Smith form.
+which makes the wall test finite: one enumeration of a positive definite
+majorant, filtered to w.v = 0, finds them with no basis of v-perp.
 `min_polarization_degree` walks the coefficient box once, carrying partial
 squares, into norm shells already in candidate order, and runs the wall test
 on them in increasing v^2.
@@ -20,8 +19,8 @@ from dataclasses import dataclass
 from math import isqrt, lcm
 from typing import Sequence
 
-from .lattices import Lattice, sublattice_embedding
-from .linalg import _unimodular_completion, lll_reduce_gram
+from .lattices import Lattice
+from .linalg import IntMatrix, lll_reduce_gram
 
 Vector = tuple[int, ...]
 
@@ -31,7 +30,6 @@ class ShortVectorReport:
     lattice: Lattice
     norm: int
     vectors: tuple[Vector, ...]
-    complete: bool = True
 
     def count(self) -> int:
         return len(self.vectors)
@@ -89,10 +87,10 @@ def short_vectors(n: Lattice, target_norm: int) -> ShortVectorReport:
 
 
 def minus_two_walls_through(n: Lattice, v: Sequence[int]) -> list[Vector]:
-    """All w with w^2 = -2 and w.v = 0, for v of positive square.
+    """All w with w^2 = -2 and w.v = 0, for v of positive square, sorted.
 
-    v-perp is negative definite under the Hodge-index signature, so negating
-    its Gram turns the wall hunt into a finite norm-2 enumeration.
+    v-perp is negative definite under the Hodge-index signature, which makes
+    the wall hunt a finite enumeration (see `_walls`).
     """
     _require_hyperbolic(n)
     v = tuple(v)
@@ -104,17 +102,16 @@ def minus_two_walls_through(n: Lattice, v: Sequence[int]) -> list[Vector]:
 def _walls(n: Lattice, v: Vector) -> list[Vector]:
     """The wall test for a hyperbolic n and v^2 > 0, both checked by the caller.
 
-    v-perp is the kernel of the row G v: columns 1..r-1 of a unimodular U
-    with (G v) U = (g, 0, ..., 0) are a saturated basis of it, with no Smith
-    form.  G v != 0 because n is nondegenerate.
+    With u = G v, the majorant 2 (w.u)^2 - v^2 w^2 (Gram 2 u u^T - v^2 G) is
+    a^2 v^4 - v^2 p^2 > 0 for w = a v + p, p in v-perp, and -v^2 w^2 on w.u = 0:
+    its norm-2v^2 vectors with w.u = 0 are the walls, already sorted.
     """
-    if n.rank == 1:
-        return []
-    _, columns = _unimodular_completion(n.gram.apply(v))
-    perp = sublattice_embedding(n, columns[1:])
-    flipped = Lattice(perp.source.rank, -perp.source.gram)
-    report = short_vectors(flipped, 2)
-    return sorted(perp.matrix.apply(x) for x in report.vectors)
+    u = n.gram.apply(v)
+    vv = sum(a * b for a, b in zip(v, u))
+    majorant = IntMatrix([[2 * a * b - vv * g for b, g in zip(u, row)]
+                          for a, row in zip(u, n.gram.tolists())])
+    hits = short_vectors(Lattice(n.rank, majorant), 2 * vv).vectors
+    return [w for w in hits if not sum(a * b for a, b in zip(w, u))]
 
 
 def in_cn(n: Lattice, v: Sequence[int]) -> bool:

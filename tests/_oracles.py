@@ -4,8 +4,8 @@ from fractions import Fraction
 from itertools import product
 
 from k3lattices.clifford import CliffordElement, _anti_fixed_basis, reversal
-from k3lattices.lattices import Lattice, orthogonal_complement, sublattice_embedding
-from k3lattices.linalg import IntMatrix, det_exact, rational_inverse, smith_normal_form
+from k3lattices.lattices import Isometry, Lattice, discriminant_group, orthogonal_complement, sublattice_embedding
+from k3lattices.linalg import IntMatrix, RatMatrix, det_exact, rational_inverse, smith_normal_form
 from k3lattices.roots import short_vectors
 
 
@@ -92,6 +92,16 @@ def discriminant_lifts_by_inverse(lat: Lattice) -> tuple:
     uinv = rational_inverse(snf.u)
     return tuple(tuple(ginv.apply([row[i] for row in uinv.entries]))
                  for i in range(lat.rank) if snf.d[i, i] > 1)
+
+
+def disc_kernel_by_fractions(g: Isometry) -> bool:
+    """Whether g fixes every discriminant class, with g gen - gen computed in
+    Fractions for each rational generator lift and tested for integrality."""
+    grat = RatMatrix.from_int(g.matrix)
+    for gen in discriminant_group(g.lattice).generators:
+        if any((x - y).denominator != 1 for x, y in zip(grat.apply(gen), gen)):
+            return False
+    return True
 
 
 def gram_schmidt_oracle(gram) -> tuple[list[list[Fraction]], list[Fraction]]:

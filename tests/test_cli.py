@@ -58,7 +58,9 @@ def test_roots_on_e8():
     _, built = run_cli(["lattice", "build", "e8"])
     code, out = run_cli(["roots", "--norm", "2"], stdin_text=built)
     assert code == 0
-    assert json.loads(out)["count"] == 240
+    payload = json.loads(out)
+    assert payload["count"] == 240
+    assert payload["complete"] is True
 
 
 def test_embedding_complement_pipeline():
@@ -175,6 +177,38 @@ def test_usage_error_exit_code():
     assert err.value.code == 2
 
 
+def fresh_process_env():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, COLUMNS="80",
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_cached_parser_gives_same_bytes_as_fresh_processes(monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setenv("COLUMNS", "80")
+    _, built = run_cli(["lattice", "build", "u"])
+    calls = [(["walls", "--v", "1,1"], built), (["no-such-command"], ""),
+             (["mindeg", "--box", "3"], built), (["roots", "--norm", "-1"], built),
+             (["verify-cert", "--v", "1,2", "--degree", "4"], built)]
+    codes = []
+    for argv, stdin_text in calls:
+        old = sys.stdin, sys.stdout, sys.stderr
+        sys.stdin, sys.stdout, sys.stderr = io.StringIO(stdin_text), io.StringIO(), io.StringIO()
+        try:
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            got = (code, sys.stdout.getvalue(), sys.stderr.getvalue())
+        finally:
+            sys.stdin, sys.stdout, sys.stderr = old
+        proc = subprocess.run([sys.executable, "-m", "k3lattices.cli", *argv], input=stdin_text,
+                              capture_output=True, text=True, env=fresh_process_env(), timeout=60)
+        assert got == (proc.returncode, proc.stdout, proc.stderr)
+        codes.append(code)
+    assert codes == [0, 2, 0, 1, 0]
+
+
 def test_deterministic_output_bytes():
     outs = {run_cli(["lattice", "build", "k3"])[1] for _ in range(3)}
     assert len(outs) == 1
@@ -222,10 +256,8 @@ def test_big_int_string_rendering(tmp_path):
                  id="phi-a-a-over-other-gram"),
 ])
 def test_malformed_input_gives_one_error_line(argv, stdin_text):
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "k3lattices.cli", *argv], input=stdin_text,
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=fresh_process_env(), timeout=60)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from _oracles import discriminant_lifts_by_inverse
+from _oracles import disc_kernel_by_fractions, discriminant_lifts_by_inverse
 from k3lattices.lattices import (
     HyperbolicPairs,
     Isometry,
@@ -422,6 +422,39 @@ def test_disc_kernel_closed_under_composition():
     h = Isometry(amb, IntMatrix([[1, 0, 0], [0, 0, 1], [0, 1, 0]]))
     assert in_discriminant_kernel(g) and in_discriminant_kernel(h)
     assert in_discriminant_kernel(g.compose(h))
+
+
+def test_disc_kernel_matches_fraction_oracle():
+    """Random words in sign flips, swaps of equal summands and Eichler
+    transvections on U + <a1> + <a2> + <a3>, seen in a moved basis."""
+    rng = random.Random(53)
+    verdicts = []
+    for _ in range(60):
+        diag = [rng.choice((2, -2, 4, -4, 6, 3, -3, 12)) for _ in range(3)]
+        lat = direct_sum(hyperbolic_u(), *[rank_one(a) for a in diag])
+        g = Isometry(lat, IntMatrix.identity(5))
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.randrange(3)
+            if kind == 0:
+                move = IntMatrix.diagonal([1, 1] + [rng.choice((1, -1)) for _ in range(3)])
+            elif kind == 1 and diag[0] == diag[1]:
+                move = IntMatrix([[int(i == {2: 3, 3: 2}.get(j, j)) for j in range(5)] for i in range(5)])
+            else:
+                a = (0, 0) + tuple(rng.randint(-2, 2) for _ in range(3))
+                if lat.norm(a) % 2:
+                    a = tuple(2 * x for x in a)
+                move = eichler_transvection(rng.choice(((1, 0, 0, 0, 0), (0, 1, 0, 0, 0))), a, lat).matrix
+            g = Isometry(lat, move).compose(g)
+        u = IntMatrix.identity(5)
+        for _ in range(rng.randint(0, 6)):  # column j += c * column i
+            i, j = rng.sample(range(5), 2)
+            u = u @ IntMatrix([[int(r == c) + (rng.choice((1, -1)) if (r, c) == (i, j) else 0)
+                                for c in range(5)] for r in range(5)])
+        moved = Lattice(5, u.transpose() @ lat.gram @ u)
+        h = Isometry(moved, unimodular_inverse(u) @ g.matrix @ u)
+        verdicts.append(in_discriminant_kernel(h))
+        assert verdicts[-1] == disc_kernel_by_fractions(h)
+    assert 10 < sum(verdicts) < 50
 
 
 # ---------------------------------------------------------------------------

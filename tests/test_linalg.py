@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import gram_schmidt_oracle
-from k3lattices.lattices import Lattice, big_l, is_primitive, k3_lattice, l_d, sublattice_embedding
+from k3lattices.lattices import big_l, k3_lattice, l_d
 from k3lattices.linalg import (
     IntMatrix,
-    _unimodular_completion,
     bezout_combination,
     content,
     det_exact,
@@ -350,9 +349,6 @@ def test_bezout_combination():
         g, coeffs = bezout_combination(vec)
         assert g == content(vec)
         assert sum(c * x for c, x in zip(coeffs, vec)) == g
-
-
-def test_unimodular_completion_gives_saturated_row_kernel():
     rng = random.Random(41)
     rows = [(0, 0, 5), (7,), (-3,), (0, 4, 0, 0), (6, -10, 15), (2, 4, -6, 8), (0, -9, 0, 12, 0),
             (-1, 0, 0), (12, 18), (0, 0, -2, 0, 0, 0)]
@@ -360,20 +356,18 @@ def test_unimodular_completion_gives_saturated_row_kernel():
         scale = rng.choice((1, 1, 2, 6))  # content > 1 for some rows
         rows.append(tuple(scale * rng.choice((0, rng.randint(-30, 30), rng.randint(-30, 30)))
                           for _ in range(rng.randint(1, 6))))
-    tested = 0
-    for row in filter(any, rows):
-        g, columns = _unimodular_completion(row)
-        kernel = columns[1:]
+    for row in rows:
+        g, coeffs = bezout_combination(row)
         assert g == content(row)
-        assert sum(a * b for a, b in zip(row, columns[0])) == g
-        assert abs(det_exact(IntMatrix.from_columns(columns, len(row)))) == 1
-        assert len(kernel) == len(row) - 1
-        assert all(sum(a * b for a, b in zip(row, k)) == 0 for k in kernel)
-        if kernel:
-            identity = Lattice(len(row), IntMatrix.identity(len(row)))
-            assert is_primitive(sublattice_embedding(identity, kernel))
-        tested += 1
-    assert tested > 100
+        assert sum(a * b for a, b in zip(row, coeffs)) == g
+        assert len(coeffs) == len(row)
+    # move_primitive_vector's isometries depend on these exact coefficients
+    pinned = {(0, 0, 5): (5, [0, 0, 1]), (0, -9, 0, 12, 0): (3, [0, 1, 0, 1, 0]),
+              (6, -10, 15): (1, [-14, -7, 1]), (-4, 6, -9): (1, [-4, -4, -1]),
+              (-21, 14, -6, 35): (1, [-1, -1, 1, 0]), (12, 18): (6, [-1, 1]),
+              (-1, 0, 0): (1, [-1, 0, 0]), (0, 0, 0): (0, [0, 0, 0]), (): (0, [])}
+    for row, expected in pinned.items():
+        assert bezout_combination(row) == expected
 
 
 def test_ldlt_reconstructs():

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from _oracles import box_candidates_oracle, box_oracle, walls_by_complement_oracle
-from k3lattices import linalg
+from k3lattices import lattices, linalg, roots
 from k3lattices.lattices import (
     Lattice,
     direct_sum,
@@ -35,7 +35,6 @@ def test_short_vectors_i2_norm1():
     lat = direct_sum(rank_one(1), rank_one(1))
     report = short_vectors(lat, 1)
     assert set(report.vectors) == {(1, 0), (-1, 0), (0, 1), (0, -1)}
-    assert report.complete
 
 
 def test_short_vectors_e8_240_roots():
@@ -196,6 +195,40 @@ def test_walls_match_complement_oracle():
         zeros += 0 in v
         multiples += content(v) > 1
     assert zeros > 20 and multiples > 20
+    # rank 10 and 18, and near-isotropic v with large entries
+    u_e8 = direct_sum(hyperbolic_u(), Lattice(8, -e8().gram))
+    cases = [(u_e8, (1, 1) + (0,) * 8), (u_e8, (1, 2) + (0,) * 8), (u_e8, (3, 2, 1, 0, 0, 0, 0, 0, 0, -1)),
+             (u_e8, (5, 4, 1, 1, 0, 0, 0, 0, 2, 0)), (u_e8, (40, 1, 0, 0, 0, 0, 0, 0, 0, 1)),
+             (direct_sum(u_e8, Lattice(8, -e8().gram)), (1, 1) + (0,) * 16),
+             (hyperbolic_u(), (1, 1000)), (hyperbolic_u(), (2, 999)),
+             (direct_sum(hyperbolic_u(), rank_one(-2)), (1, 500, 3)),
+             (direct_sum(hyperbolic_u(), rank_one(-2)), (1, 2, 1))]
+    counts = []
+    for lat, v in cases:
+        assert lat.norm(v) > 0
+        walls = _walls(lat, v)
+        assert walls == walls_by_complement_oracle(lat, v)
+        counts.append(len(walls))
+    assert counts[0] == 242 and counts[5] == 482 and counts[-1] > 0
+
+
+def test_walls_build_no_complement(monkeypatch):
+    calls = []
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(IntMatrix, "__matmul__", counted("matmul", IntMatrix.__matmul__))
+    monkeypatch.setattr(lattices, "sublattice_embedding", counted("embedding", lattices.sublattice_embedding))
+    monkeypatch.setattr(lattices.LatticeEmbedding, "__post_init__",
+                        counted("embedding", lattices.LatticeEmbedding.__post_init__))
+    monkeypatch.setattr(roots, "short_vectors", counted("short_vectors", roots.short_vectors))
+    u_e8 = direct_sum(hyperbolic_u(), Lattice(8, -e8().gram))
+    assert len(_walls(u_e8, (1, 1) + (0,) * 8)) == 242
+    assert calls == ["short_vectors"]
 
 
 # ---------------------------------------------------------------------------
