@@ -323,6 +323,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # argparse reads a value such as `-1,-2` as an option, so `--v VALUE` is passed as `--v=VALUE`
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] == "--v":
+            argv[i:i + 2] = [f"--v={argv[i + 1]}"]
     args = parser.parse_args(argv)
     try:
         args.func(args)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Sequence
 
 from .linalg import (
@@ -39,7 +40,14 @@ class Lattice:
             raise ValueError("gram matrix must be symmetric")
 
     def pairing(self, x: Sequence[int], y: Sequence[int]) -> int:
-        return sum(xi * gi for xi, gi in zip(x, self.gram.apply(y)))
+        if len(y) != self.rank:
+            raise ValueError("vector length mismatch")
+        # G y is the sum of y_j (row j of G) since G is symmetric: skip y_j = 0
+        total = 0
+        for j, yj in enumerate(y):
+            if yj:
+                total += yj * sum(map(mul, x, self.gram.row(j)))
+        return total
 
     def norm(self, x: Sequence[int]) -> int:
         return self.pairing(x, x)
@@ -90,7 +98,7 @@ class LatticeEmbedding:
             raise ValueError("embedding matrix shape mismatch")
         bt = self.matrix.transpose()
         if induced is None:
-            induced = bt @ self.target.gram @ self.matrix
+            induced = bt @ (self.target.gram @ self.matrix)
         if induced != self.source.gram:
             raise ValueError("matrix does not preserve the pairing")
         if det_exact(bt @ self.matrix) == 0:
@@ -105,7 +113,7 @@ class Isometry:
     def __post_init__(self):
         if self.matrix.rows != self.lattice.rank or self.matrix.cols != self.lattice.rank:
             raise ValueError("isometry matrix shape mismatch")
-        if self.matrix.transpose() @ self.lattice.gram @ self.matrix != self.lattice.gram:
+        if self.matrix.transpose() @ (self.lattice.gram @ self.matrix) != self.lattice.gram:
             raise ValueError("matrix does not preserve the pairing")
         if det_exact(self.matrix) not in (1, -1):
             raise ValueError("isometry must be unimodular")
@@ -255,8 +263,8 @@ def discriminant_group(n: Lattice) -> DiscriminantForm:
 def sublattice_embedding(target: Lattice, columns: Sequence[Sequence[int]],
                          label: str | None = None) -> LatticeEmbedding:
     """Embedding of the sublattice spanned by `columns` with its induced Gram."""
-    mat = IntMatrix.from_columns([tuple(c) for c in columns], target.rank)
-    induced = mat.transpose() @ target.gram @ mat
+    mat = IntMatrix.from_columns([tuple(int(x) for x in c) for c in columns], target.rank)
+    induced = mat.transpose() @ (target.gram @ mat)
     return LatticeEmbedding(Lattice(mat.cols, induced, label), target, mat, induced)
 
 
@@ -310,7 +318,7 @@ def check_disc_complement(n: LatticeEmbedding, nprime: LatticeEmbedding) -> Disc
         raise ValueError("ranks do not add up to the ambient rank")
     if not is_primitive(n) or not is_primitive(nprime):
         raise ValueError("both sublattices must be saturated")
-    cross = n.matrix.transpose() @ m.gram @ nprime.matrix
+    cross = n.matrix.transpose() @ (m.gram @ nprime.matrix)
     if any(cross[i, j] != 0 for i in range(cross.rows) for j in range(cross.cols)):
         raise ValueError("sublattices are not orthogonal")
     disc_left = n.source.disc()
@@ -350,17 +358,21 @@ def _transvect_columns(columns: list[list[int]], gram: IntMatrix,
 
     Applied to the columns of a matrix g this computes E(f,a) @ g in place.
     Callers guarantee f isotropic, a orthogonal to f and (a^2)(x.f) even for
-    every column x, so that the result is integral.
+    every column x, so that the result is integral.  Only the supports of
+    G f = f^T G, G a, a and f are walked; for marked-plane f and a each has
+    one or two entries, so a step costs O(1) per column.
     """
-    gf = gram.apply(f)
-    ga = gram.apply(a)
-    aa = sum(x * y for x, y in zip(a, ga))
+    gf, ga, sa, sf = ([(i, x) for i, x in enumerate(vec) if x]
+                      for vec in (gram.row_combination(f), gram.row_combination(a), a, f))
+    aa = sum(a[i] * g for i, g in ga)
     for x in columns:
-        xf = sum(p * q for p, q in zip(x, gf))
-        xa = sum(p * q for p, q in zip(x, ga))
+        xf = sum(x[i] * g for i, g in gf)
+        xa = sum(x[i] * g for i, g in ga)
         fcoeff = -xa - aa * xf // 2
-        for i, (ai, fi) in enumerate(zip(a, f)):
-            x[i] += xf * ai + fcoeff * fi
+        for i, ai in sa:
+            x[i] += xf * ai
+        for i, fi in sf:
+            x[i] += fcoeff * fi
 
 
 def eichler_transvection(f: Sequence[int], a: Sequence[int], n: Lattice) -> Isometry:

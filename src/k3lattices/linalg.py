@@ -7,7 +7,9 @@ inverse (integer numerators over one determinant, wrapped as a `RatMatrix`)
 use the same update.  Smith normal form with transforms serves where Smith
 data is the answer, as for saturated kernels.  Integral LLL builds on LDL^T.
 `det_mod` eliminates over GF(p) instead: a nonzero residue is a cheap proof
-that a determinant is nonzero.
+that a determinant is nonzero.  Products skip the zeros of the left factor
+(each product row is a sum of rows of the right factor) and build no
+transpose.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Iterable, Sequence
 class IntMatrix:
     """Immutable integer matrix, row-major, arbitrary precision."""
 
-    __slots__ = ("rows", "cols", "_entries")
+    __slots__ = ("rows", "cols", "_entries", "_hash")
 
     def __init__(self, entries: Sequence[Sequence[int]], cols: int | None = None):
         data = tuple(tuple(int(x) for x in row) for row in entries)
@@ -34,14 +36,22 @@ class IntMatrix:
         self.rows = len(data)
         self.cols = width
         self._entries = data
+        self._hash = None
+
+    @classmethod
+    def _trusted(cls, data: tuple[tuple[int, ...], ...], cols: int) -> "IntMatrix":
+        """Wrap rows that are already equal-width tuples of ints, unchecked."""
+        m = object.__new__(cls)
+        m.rows, m.cols, m._entries, m._hash = len(data), cols, data, None
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._trusted(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)), n)
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)])
+        return cls._trusted(((0,) * cols,) * rows, cols)
 
     @classmethod
     def diagonal(cls, diag: Sequence[int]) -> "IntMatrix":
@@ -50,7 +60,7 @@ class IntMatrix:
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]], nrows: int) -> "IntMatrix":
-        return cls([[col[i] for col in columns] for i in range(nrows)]) if columns else cls.zero(nrows, 0)
+        return cls._trusted(tuple(zip(*columns)), len(columns)) if columns else cls.zero(nrows, 0)
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
@@ -69,15 +79,20 @@ class IntMatrix:
         return [list(row) for row in self._entries]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix([[self._entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-                         cols=self.rows)
+        return IntMatrix._trusted(tuple(zip(*self._entries)) if self.rows else ((),) * self.cols, self.rows)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        bt = other.transpose()._entries
-        return IntMatrix([[sum(a * b for a, b in zip(row, col)) for col in bt] for row in self._entries],
-                         cols=other.cols)
+        return IntMatrix._trusted(tuple(other.row_combination(row) for row in self._entries), other.cols)
+
+    def row_combination(self, coeffs: Sequence[int]) -> tuple[int, ...]:
+        """coeffs^T M, summed over the rows k with coeffs[k] != 0 only."""
+        acc = (0,) * self.cols
+        for c, row in zip(coeffs, self._entries):
+            if c:
+                acc = [s + c * x for s, x in zip(acc, row)]
+        return tuple(acc)
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         if len(vec) != self.cols:
@@ -85,17 +100,19 @@ class IntMatrix:
         return tuple(sum(a * b for a, b in zip(row, vec)) for row in self._entries)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        return IntMatrix([[a + b for a, b in zip(r, s)] for r, s in zip(self._entries, other._entries)],
-                         cols=self.cols)
+        rows = zip(self._entries, other._entries)
+        return IntMatrix._trusted(tuple(tuple(a + b for a, b in zip(r, s)) for r, s in rows), self.cols)
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix([[-a for a in row] for row in self._entries], cols=self.cols)
+        return IntMatrix._trusted(tuple(tuple(-a for a in row) for row in self._entries), self.cols)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntMatrix) and self._entries == other._entries and self.cols == other.cols
 
     def __hash__(self) -> int:
-        return hash((self.cols, self._entries))
+        if self._hash is None:
+            self._hash = hash((self.cols, self._entries))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"IntMatrix({[list(r) for r in self._entries]})"
@@ -108,19 +125,15 @@ class IntMatrix:
             self._entries[i][j] == self._entries[j][i] for i in range(self.rows) for j in range(i))
 
     def block_diag(self, other: "IntMatrix") -> "IntMatrix":
-        n, m = self.rows + other.rows, self.cols + other.cols
-        out = [[0] * m for _ in range(n)]
-        for i in range(self.rows):
-            out[i][: self.cols] = list(self._entries[i])
-        for i in range(other.rows):
-            out[self.rows + i][self.cols:] = list(other._entries[i])
-        return IntMatrix(out, cols=m)
+        left, right = (0,) * other.cols, (0,) * self.cols
+        return IntMatrix._trusted(tuple(row + left for row in self._entries)
+                                  + tuple(right + row for row in other._entries), self.cols + other.cols)
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
             raise ValueError("row count mismatch")
-        return IntMatrix([list(a) + list(b) for a, b in zip(self._entries, other._entries)],
-                         cols=self.cols + other.cols)
+        return IntMatrix._trusted(tuple(a + b for a, b in zip(self._entries, other._entries)),
+                                  self.cols + other.cols)
 
 
 class RatMatrix:

@@ -44,6 +44,12 @@ def box_oracle(lat: Lattice, norm: int) -> set:
     return hits
 
 
+def matmul_oracle(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """Naive triple sum: entry (i, j) is the sum over k of a[i, k] * b[k, j]."""
+    return IntMatrix([[sum(a[i, k] * b[k, j] for k in range(a.cols)) for j in range(b.cols)]
+                      for i in range(a.rows)], cols=b.cols)
+
+
 def candidate_key(norm: int, vec: tuple):
     """Candidate order of the mindeg scan: by square, then componentwise with
     nonnegative entries ranked before negative ones of the same magnitude."""

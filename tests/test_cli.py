@@ -341,3 +341,18 @@ def test_fuzzed_payloads_exit_cleanly(argv, stdin_text):
         sys.stdin, sys.stdout, sys.stderr = old
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("gram", [[[0, 1], [1, 0]], [[2, 0], [0, -2]]])
+@pytest.mark.parametrize("vector", ["-1,-2", "-2,-1", "-1,0", "1,-2"])
+@pytest.mark.parametrize("command", [["walls"], ["verify-cert", "--degree", "4"]])
+def test_negative_vector_after_space_matches_equals_form(gram, vector, command):
+    payload = json.dumps({"rank": 2, "gram": gram})
+    spaced = run_cli(command + ["--v", vector], stdin_text=payload)
+    joined = run_cli(command + [f"--v={vector}"], stdin_text=payload)
+    assert spaced == joined
+
+
+def test_walls_accepts_negative_vector_after_space():
+    _, built = run_cli(["lattice", "build", "u"])
+    assert run_cli(["walls", "--v", "-1,-2"], stdin_text=built) == (0, '{"v":[-1,-2],"walls":[]}\n')

@@ -1,7 +1,10 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import disc_kernel_by_fractions, discriminant_lifts_by_inverse
 from k3lattices.lattices import (
@@ -391,6 +394,39 @@ def test_transvect_columns_matches_composed_transvections():
     assert IntMatrix.from_columns(columns, lam.rank) == composed.matrix
 
 
+U2E8_NEG = direct_sum(hyperbolic_u(), hyperbolic_u(), negate(e8()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([0, 1, 2, 3]), st.integers(-3, 3).filter(bool),
+       st.lists(st.integers(-3, 3), min_size=12, max_size=12),
+       st.lists(st.integers(-3, 3), min_size=12, max_size=12))
+def test_transvect_columns_matches_dense_formula(i, k, c, a):
+    lat = U2E8_NEG
+    g = lat.gram.tolists()
+
+    def dot(x, y):  # every entry of the Gram, zeros included
+        return sum(x[r] * g[r][s] * y[s] for r in range(12) for s in range(12))
+
+    # f = k (e + c - (c^2/2) e') for the plane pair (e, e') at (i, i ^ 1) and c
+    # orthogonal to that plane is isotropic; a - ((a.f)/(f.e')) e' is orthogonal to f.
+    j = i ^ 1
+    c = [0 if r in (i, j) else x for r, x in enumerate(c)]
+    f = [k * x for x in c]
+    f[i], f[j] = k, -k * (dot(c, c) // 2)
+    z = lat.basis_vector(j)
+    fz, af = dot(f, z), dot(a, f)
+    a = [fz * x - af * y for x, y in zip(a, z)]
+    assert dot(f, f) == 0 and dot(a, f) == 0
+
+    columns = IntMatrix.identity(12).tolists()
+    _transvect_columns(columns, lat.gram, f, a)
+    aa = dot(a, a)
+    for col, x in zip(columns, IntMatrix.identity(12).tolists()):
+        xf, xa = dot(x, f), dot(x, a)
+        assert col == [p + xf * q - (xa + aa // 2 * xf) * r for p, q, r in zip(x, a, f)]
+
+
 # ---------------------------------------------------------------------------
 # discriminant kernel
 
@@ -538,6 +574,78 @@ def test_move_seeded_vectors_in_k3_and_l_d():
             assert res.canonical and res.divisor == 1
             assert res.image == tuple(expected) == gm.apply(v)
             assert res.transvections > 0
+
+
+# move_primitive_vector on the vectors below, computed before products
+# skipped zeros: label, transvections, divisor, canonical, image[16:18], and
+# the first 16 hex digits of the SHA-256 of the isometry's rows.
+PINNED_MOVES = [
+    ("K3", 22, 1, True, (1, 568837), "7056a210c6b9b011"),
+    ("K3", 18, 1, True, (1, 372864), "c9ef0e9201c6a38a"),
+    ("L_1", 15, 1, True, (1, 653732), "e86ec5031742dfa5"),
+    ("L_2", 23, 1, True, (1, 441488), "49f9452dcfba440d"),
+    ("L_3", 14, 1, True, (1, 432255), "0ae4ef457e265591"),
+    ("L_7", 14, 1, True, (1, 486319), "3e6088000b828b6e"),
+    ("L_2", 17, 2, False, (2, -1230), "5905b22363cc0726"),
+]
+
+
+def test_move_outputs_pinned():
+    rng = random.Random(2017)
+    pairs = HyperbolicPairs((16, 17), (18, 19))
+    cases = []
+    for lat in (k3_lattice(), k3_lattice(), l_d(1), l_d(2), l_d(3), l_d(7)):
+        while True:
+            v = tuple(rng.randint(-300, 300) for _ in range(lat.rank))
+            if content(v) == 1 and lat.norm(v) != 0:
+                break
+        cases.append((lat, v))
+    # divisor 2: every coordinate but the <4> one is even
+    cases.append((l_d(2), tuple(2 * rng.randint(-50, 50) for _ in range(20)) + (1,)))
+    got = []
+    for lat, v in cases:
+        res = move_primitive_vector(v, lat, pairs)
+        digest = hashlib.sha256(repr(res.isometry.matrix.tolists()).encode()).hexdigest()[:16]
+        got.append((lat.label, res.transvections, res.divisor, res.canonical, res.image[16:18], digest))
+    assert got == PINNED_MOVES
+
+
+def test_move_validates_once_with_two_products(monkeypatch):
+    calls = []
+    original_check, original_matmul = Isometry.__post_init__, IntMatrix.__matmul__
+
+    def counted_check(self):
+        calls.append("isometry")
+        return original_check(self)
+
+    def counted_matmul(self, other):
+        calls.append("matmul")
+        return original_matmul(self, other)
+
+    lam = k3_lattice()
+    v = tuple(range(-10, 12))
+    monkeypatch.setattr(Isometry, "__post_init__", counted_check)
+    monkeypatch.setattr(IntMatrix, "__matmul__", counted_matmul)
+    res = move_primitive_vector(v, lam, HyperbolicPairs((16, 17), (18, 19)))
+    assert res.canonical and res.transvections > 0
+    assert calls.count("isometry") == 1
+    assert calls.count("matmul") <= 2
+
+
+def test_isometry_rejects_perturbed_and_non_unimodular_matrices():
+    lam = k3_lattice()
+    g = move_primitive_vector(tuple(range(-10, 12)), lam, HyperbolicPairs((16, 17), (18, 19))).isometry
+    for i, j in ((0, 0), (5, 17), (16, 16), (17, 3), (21, 21)):
+        rows = g.matrix.tolists()
+        rows[i][j] += 1
+        with pytest.raises(ValueError, match="does not preserve the pairing"):
+            Isometry(lam, IntMatrix(rows))
+    # on a degenerate Gram a det +-2 matrix can preserve the form
+    degenerate = Lattice(2, IntMatrix([[2, 0], [0, 0]]))
+    for doubled in (IntMatrix([[1, 0], [0, 2]]), IntMatrix([[-1, 0], [0, 2]])):
+        assert doubled.transpose() @ degenerate.gram @ doubled == degenerate.gram
+        with pytest.raises(ValueError, match="isometry must be unimodular"):
+            Isometry(degenerate, doubled)
 
 
 def _perp_vector(rng, lat, i, j):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import gram_schmidt_oracle
+from _oracles import gram_schmidt_oracle, matmul_oracle
 from k3lattices.lattices import big_l, k3_lattice, l_d
 from k3lattices.linalg import (
     IntMatrix,
@@ -438,3 +438,63 @@ def test_lll_reduce_gram_is_reduced(g):
             assert abs(2 * lam[k][l]) <= d[l + 1]
     for k in range(1, n):
         assert 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2
+
+
+# ---------------------------------------------------------------------------
+# products and builders
+
+zero_heavy_entries = st.sampled_from([0, 0, 0, 0, 1, -1]) | st.integers(-10**12, 10**12)
+
+
+@st.composite
+def product_operands(draw):
+    """(A, B) with shapes n x k and k' x m, every size 0..5, mostly zeros;
+    k' differs from k about one time in eight."""
+    n, k, m = (draw(st.integers(0, 5)) for _ in range(3))
+    k2 = k + 1 if draw(st.integers(0, 7)) == 0 else k
+
+    def mat(rows, cols):
+        return IntMatrix([[draw(zero_heavy_entries) for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+    return mat(n, k), mat(k2, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_operands())
+def test_matmul_matches_triple_sum(operands):
+    a, b = operands
+    if a.cols != b.rows:
+        with pytest.raises(ValueError, match="shape mismatch"):
+            a @ b
+        return
+    got = a @ b
+    assert got == matmul_oracle(a, b)
+    assert (got.rows, got.cols) == (a.rows, b.cols)
+
+
+@settings(max_examples=100, deadline=None)
+@given(product_operands())
+def test_builders_match_public_constructor(operands):
+    a, b = operands
+    rows = a.tolists()
+    built = [
+        (a.transpose(), [[rows[i][j] for i in range(a.rows)] for j in range(a.cols)], a.rows),
+        (-a, [[-x for x in row] for row in rows], a.cols),
+        (a + a, [[2 * x for x in row] for row in rows], a.cols),
+        (a.hstack(a), [row + row for row in rows], 2 * a.cols),
+        (a.block_diag(b), [row + [0] * b.cols for row in rows]
+         + [[0] * a.cols + row for row in b.tolists()], a.cols + b.cols),
+        (IntMatrix.from_columns(a.columns(), a.rows), rows, a.cols),
+        (IntMatrix.identity(a.rows), [[int(i == j) for j in range(a.rows)] for i in range(a.rows)], a.rows),
+    ]
+    for got, entries, cols in built:
+        expected = IntMatrix(entries, cols=cols)
+        assert got == expected and hash(got) == hash(expected)
+        assert (got.rows, got.cols) == (expected.rows, expected.cols)
+
+
+def test_hash_is_cached_and_matches_equality():
+    m = k3_lattice().gram.transpose()  # a fresh matrix from the unchecked constructor
+    assert m._hash is None
+    h = hash(m)
+    assert m._hash == h == hash(m) == hash(IntMatrix(m.tolists()))
