@@ -263,7 +263,10 @@ def discriminant_group(n: Lattice) -> DiscriminantForm:
 def sublattice_embedding(target: Lattice, columns: Sequence[Sequence[int]],
                          label: str | None = None) -> LatticeEmbedding:
     """Embedding of the sublattice spanned by `columns` with its induced Gram."""
-    mat = IntMatrix.from_columns([tuple(int(x) for x in c) for c in columns], target.rank)
+    cols = [tuple(int(x) for x in c) for c in columns]
+    if any(len(c) != target.rank for c in cols):
+        raise ValueError("embedding matrix shape mismatch")
+    mat = IntMatrix.from_columns(cols, target.rank)
     induced = mat.transpose() @ (target.gram @ mat)
     return LatticeEmbedding(Lattice(mat.cols, induced, label), target, mat, induced)
 

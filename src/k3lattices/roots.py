@@ -9,8 +9,10 @@ fixed v of positive square live in the negative definite complement v-perp,
 which makes the wall test finite: one enumeration of a positive definite
 majorant, filtered to w.v = 0, finds them with no basis of v-perp.
 `min_polarization_degree` walks the coefficient box once, carrying partial
-squares, into norm shells already in candidate order, and runs the wall test
-on them in increasing v^2.
+squares, into norm shells already in candidate order, and decides them in
+increasing v^2: a candidate orthogonal to a wall that an earlier wall test
+found is rejected by one dot product, and only the others run the wall test,
+which `wall_searches` counts.
 """
 
 from __future__ import annotations
@@ -136,7 +138,8 @@ class PolarizationSearchResult:
     searched_box: int
     exhaustive: bool
     candidates: int = 0  # box vectors with 0 < v^2 <= searched_norm_limit
-    walls_tested: int = 0  # wall tests run, the hit's own included
+    walls_tested: int = 0  # candidates decided, the hit's own included
+    wall_searches: int = 0  # `_walls` enumerations run; the rest met a known wall
 
 
 def _box_candidates(n: Lattice, norm_limit: int, coeff_box: int) -> list[tuple[int, Vector]]:
@@ -183,22 +186,34 @@ def min_polarization_degree(n: Lattice, norm_limit: int = 20,
     true minimal degree.  Exhaustive only in rank 1, where the generator
     settles the question.  The lattice is checked to be hyperbolic once;
     every candidate has v^2 > 0, so the scan runs the wall test directly,
-    sequentially.  `candidates` counts the box vectors in range and
-    `walls_tested` the wall tests run, the hit's own included.
+    sequentially.  Each wall found on the way is kept as G w, one of each
+    +-w pair, and a candidate orthogonal to a kept wall is rejected by that
+    dot product alone; only the others run `_walls`, so the accepted
+    candidate still passes the full enumeration.  `candidates` counts the
+    box vectors in range, `walls_tested` the candidates decided, the hit's
+    own included, and `wall_searches` the `_walls` enumerations run.
     """
     _require_hyperbolic(n)
     if norm_limit <= 0 or coeff_box <= 0:
         raise ValueError("limits must be positive")
     candidates = _box_candidates(n, norm_limit, coeff_box)
     degree = certificate = None
-    tested = 0
+    tested = searches = 0
+    known: list[Vector] = []  # G w for the walls w found so far
     for q, vec in candidates:
         tested += 1
-        if not _walls(n, vec):
+        if any(not sum(a * b for a, b in zip(gw, vec)) for gw in known):
+            continue
+        searches += 1
+        walls = _walls(n, vec)
+        if not walls:
             degree, certificate = q, vec
             break
+        # walls is sorted and closed under negation, so its upper half holds one
+        # of each +-w pair; none is kept yet, or vec would have been rejected
+        known.extend(n.gram.apply(w) for w in walls[len(walls) // 2:])
     return PolarizationSearchResult(n, degree, certificate, norm_limit, coeff_box, n.rank == 1,
-                                    len(candidates), tested)
+                                    len(candidates), tested, searches)
 
 
 def verify_certificate(n: Lattice, v: Sequence[int], claimed_degree: int) -> bool:

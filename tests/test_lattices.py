@@ -243,6 +243,14 @@ def test_embedding_rejects_dependent_columns():
             sublattice_embedding(u, cols)
 
 
+def test_embedding_rejects_columns_of_wrong_length():
+    u = hyperbolic_u()
+    for cols in ([(1, 0, 5), (0, 1)], [(0, 1), (1,)], [(1, 0, 0), (0, 1, 0)], [(1,), (0,)], [(1, 0, 0)]):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            sublattice_embedding(u, cols)
+    assert sublattice_embedding(u, [(1, 0), (0, 1)]).matrix == IntMatrix.identity(2)
+
+
 def test_embedding_rejects_wrong_gram_when_built_directly():
     u = hyperbolic_u()
     mat = IntMatrix([[1], [1]])  # e + f, of norm 2

@@ -311,6 +311,77 @@ def test_mindeg_counters_match_oracle():
         else:
             assert res.certificate is None
             assert res.walls_tested == res.candidates == 2
+        assert res.wall_searches <= res.walls_tested
+
+
+def u_plus_negative_signed(rng, t):
+    """U + T(-1) as the mindeg-scan benchmark builds it: a random signed
+    permutation of the T(-1) coordinates and a random swap of the U pair."""
+    n = len(t) + 2
+    g = [[0] * n for _ in range(n)]
+    g[0][1] = g[1][0] = 1
+    for i, row in enumerate(t):
+        for j, x in enumerate(row):
+            g[2 + i][2 + j] = -x
+    order = [0, 1] if rng.random() < 0.5 else [1, 0]
+    tail = list(range(2, n))
+    rng.shuffle(tail)
+    order += tail
+    signs = [1, 1] + [rng.choice((1, -1)) for _ in range(n - 2)]
+    return Lattice(n, IntMatrix([[signs[i] * signs[j] * g[order[i]][order[j]] for j in range(n)]
+                                 for i in range(n)]))
+
+
+def mindeg_without_known_walls(lat, norm_limit, box):
+    """The scan with one `_walls` enumeration per candidate and nothing kept."""
+    candidates = _box_candidates(lat, norm_limit, box)
+    for tested, (q, vec) in enumerate(candidates, 1):
+        if not _walls(lat, vec):
+            return q, vec, len(candidates), tested
+    return None, None, len(candidates), len(candidates)
+
+
+def test_mindeg_matches_scan_without_known_walls():
+    rng = random.Random(53)
+    searches = skipped = misses = 0
+    while searches < 40:
+        r = rng.randint(0, 3)
+        t = [[0] * r for _ in range(r)]
+        for i in range(r):
+            t[i][i] = rng.choice((1, 2, 2, 2, 4, 6))
+            for j in range(i):
+                t[i][j] = t[j][i] = rng.choice((0, 0, 1, -1))
+        if r and Lattice(r, IntMatrix(t)).signature() != (r, 0, 0):
+            continue
+        lat = u_plus_negative_signed(rng, t)
+        norm_limit, box = rng.randint(2, 20), rng.randint(2, 4 if lat.rank < 5 else 3)
+        res = min_polarization_degree(lat, norm_limit=norm_limit, coeff_box=box)
+        assert (res.upper_bound, res.certificate, res.candidates, res.walls_tested) == \
+            mindeg_without_known_walls(lat, norm_limit, box)
+        assert (res.searched_norm_limit, res.searched_box, res.exhaustive) == (norm_limit, box, False)
+        searches += 1
+        skipped += res.wall_searches < res.walls_tested
+        misses += res.certificate is None
+    assert skipped > 20 and 0 < misses < searches
+
+
+def test_mindeg_runs_walls_only_for_undecided_candidates(monkeypatch):
+    searched = []
+
+    def counted(n, v):
+        searched.append(v)
+        return _walls(n, v)
+
+    monkeypatch.setattr(roots, "_walls", counted)
+    lat = direct_sum(hyperbolic_u(), Lattice(3, IntMatrix([[-1, 0, 0], [0, -3, 1], [0, 1, -3]])))
+    res = min_polarization_degree(lat, norm_limit=20, coeff_box=3)
+    assert (res.upper_bound, res.certificate) == (3, (1, 2, 1, 0, 0))
+    assert len(searched) == res.wall_searches < res.walls_tested
+    decided = [v for _, v in _box_candidates(lat, 20, 3)[:res.walls_tested]]
+    assert searched[-1] == res.certificate == decided[-1]
+    skipped = [v for v in decided if v not in searched]
+    assert len(skipped) == res.walls_tested - res.wall_searches
+    assert all(walls_by_complement_oracle(lat, v) for v in skipped)
 
 
 def test_mindeg_checks_signature_once(monkeypatch):
