@@ -7,17 +7,18 @@ integral for every integer Gram matrix.  Product and trace tables live in one
 private `CliffordAlgebra` per host lattice, freed with the host.  Traces on the
 2^n-dimensional left-regular module have the closed form Tr(L_{e_S}) =
 2^n Pf(B_S), B_S the Gram of the e_i, i in S (Wick's rule), so traces need
-no matrix at any rank.  Only what builds a matrix on that module is capped:
-2^n x 2^n realizations at rank MATRIX_RANK_CAP, phi-Grams at PHI_RANK_CAP.
+no matrix at any rank; phi-Grams and the projector to L are summed over the
+nonzero terms of the product tables.  Only what builds a matrix on that module
+is capped: 2^n x 2^n realizations at MATRIX_RANK_CAP, phi-Grams at PHI_RANK_CAP.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb, gcd
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .lattices import Lattice
 from .linalg import IntMatrix, det_exact, det_mod, unimodular_inverse
@@ -94,14 +95,17 @@ class CliffordAlgebra:
     def trace_form(self) -> list[list[int]]:
         """B'[I][K] = Tr(reversal(e_I) e_K), built by rows: with i the top
         index of I, reversal(e_I) = e_i reversal(e_{I-i}), so cyclicity gives
-        B'[I][K] = sum of c B'[I-i][m] over the terms c e_m of e_K e_i."""
+        B'[I][K] = sum of c B'[I-i][m] over the terms c e_m of e_K e_i; odd
+        elements are traceless, so B'[I][K] = 0 unless deg I + deg K is even."""
         if self._trace_form is None:
             dim = 1 << self.n
             self._trace_form = rows = [[dim * self.tau(k) for k in range(dim)]]
+            par = [bin(k).count("1") % 2 for k in range(dim)]
             for mask in range(1, dim):
                 i = mask.bit_length() - 1
                 prev = rows[mask ^ 1 << i]
-                rows.append([sum(c * prev[m] for m, c in self.gen(k, i).items()) for k in range(dim)])
+                rows.append([sum(c * prev[m] for m, c in self.gen(k, i).items()) if par[k] == par[mask] else 0
+                             for k in range(dim)])
         return self._trace_form
 
 
@@ -245,7 +249,11 @@ def left_mul_matrix(x: CliffordElement) -> EndoMatrix:
     for m in range(1, dim):  # x e_m = (x e_{m - top}) e_top
         top = m.bit_length() - 1
         cols.append(alg.times(cols[m ^ 1 << top], [top]))
-    return EndoMatrix(dim, IntMatrix([[col.get(r, 0) for col in cols] for r in range(dim)]))
+    dense = [[0] * dim for _ in range(dim)]  # dense[m]: the column x e_m
+    for m, col in enumerate(cols):
+        for r, c in col.items():
+            dense[m][r] = c
+    return EndoMatrix(dim, IntMatrix.from_columns(dense, dim))
 
 
 def phi_a(x: CliffordElement, y: CliffordElement, a: CliffordElement) -> int:
@@ -262,42 +270,50 @@ class PolarizationElement:
     candidates_tried: int = 0
 
     def is_alternating(self) -> bool:
-        return _is_alternating(self.gram)
+        g = self.gram
+        return all(g[i, j] == -g[j, i] for i in range(g.rows) for j in range(i + 1))
 
 
-def _is_alternating(g: IntMatrix) -> bool:
-    return all(g[i, j] == -g[j, i] for i in range(g.rows) for j in range(i + 1))
-
-
-def phi_gram(a: CliffordElement) -> IntMatrix:
+def phi_gram(a: CliffordElement, rows: Sequence[dict[int, int]] | None = None) -> IntMatrix:
     """Gram matrix of phi_a on the monomial basis of C(L), as B' R_a:
     phi_a(e_I, e_J) = Tr(reversal(e_I) e_J a) = sum_K B'[I][K] R_a[K][J], with
-    B' the host's `CliffordAlgebra.trace_form` and R_a the (sparse) matrix of
-    right multiplication by a."""
-    alg = _algebra(a.host)
-    cols = [list(alg.mul({j: 1}, a.coeffs).items()) for j in range(1 << a.host.rank)]  # e_J a
-    return IntMatrix([[sum(c * row[k] for k, c in col) for col in cols] for row in alg.trace_form()])
+    B' the host's `CliffordAlgebra.trace_form` and R_a the sparse matrix of
+    right multiplication by a; row I sums the rows K of R_a with B'[I][K] != 0.
+    `rows` may hold the products e_J a (the rows of R_a^T) if already formed."""
+    alg, dim = _algebra(a.host), 1 << a.host.rank
+    r_a: list[list[tuple[int, int]]] = [[] for _ in range(dim)]  # row K: the (J, c) with c e_K in e_J a
+    for j, row in enumerate(rows or [alg.mul({j: 1}, a.coeffs) for j in range(dim)]):
+        for k, c in row.items():
+            r_a[k].append((j, c))
+    out = []
+    for b_row in alg.trace_form():
+        acc = [0] * dim
+        for b, r_a_row in zip(b_row, r_a):
+            for j, c in r_a_row if b else ():
+                acc[j] += b * c
+        out.append(tuple(acc))
+    return IntMatrix._trusted(tuple(out), dim)
 
 
-def _nonsingular(m: list[list[int]], a: CliffordElement) -> bool:
-    """det m != 0 for m = R_a, its transpose or phi_gram(a).  If a has one
-    degree parity q, the entries (r, c) with deg r + deg c + q odd vanish; when
-    they do (checked), the two parity blocks are tested apart.  A nonzero
-    residue modulo P61 certifies a block; `det_exact` settles a zero one."""
-    dim = len(m)
+def _nonsingular(rows: Sequence[dict[int, int]], a: CliffordElement) -> bool:
+    """det m != 0 for m = R_a^T or phi_gram(a), as sparse rows {column: entry}.
+    If a has one degree parity q, the entries (r, c) with deg r + deg c + q odd
+    vanish; when the stored ones do, only the two parity blocks are built and
+    tested.  A nonzero residue modulo P61 certifies a block, `det_exact` a zero one."""
+    dim = len(rows)
     par = [bin(i).count("1") % 2 for i in range(dim)]
     qs = {par[s] for s in a.coeffs}
     q = min(qs, default=0)
-    blocks = [m]
-    if len(qs) == 1 and all(m[r][c] == 0 for r in range(dim) for c in range(dim) if par[r] != par[c] ^ q):
-        blocks = [[[row[c] for c in range(dim) if par[c] == pc] for r, row in enumerate(m) if par[r] == pc ^ q]
+    if len(qs) == 1 and all(not v or par[r] == par[c] ^ q for r, row in enumerate(rows) for c, v in row.items()):
+        blocks = [[[row.get(c, 0) for c in range(dim) if par[c] == pc] for r, row in enumerate(rows) if par[r] == pc ^ q]
                   for pc in (0, 1)]
+    else:
+        blocks = [[[row.get(c, 0) for c in range(dim)] for row in rows]]
     return all(det_mod(b, P61) or det_exact(IntMatrix(b, cols=len(b))) for b in blocks)
 
 
-def _anti_fixed_basis(host: Lattice) -> list[CliffordElement]:
-    """Primitive spanning elements of the -1 eigenspace of the reversal."""
-    out = []
+def _anti_fixed_basis(host: Lattice) -> Iterator[CliffordElement]:
+    """Primitive spanning elements of the -1 eigenspace of the reversal, lazily."""
     seen = set()
     for mask in sorted(range(1, 1 << host.rank), key=lambda m: (bin(m).count("1"), m)):
         e_s = CliffordElement(host, {mask: 1})
@@ -309,8 +325,7 @@ def _anti_fixed_basis(host: Lattice) -> list[CliffordElement]:
         key = tuple(sorted(w.coeffs.items()))
         if key not in seen:
             seen.update((key, tuple((m, -c) for m, c in key)))
-            out.append(w)
-    return out
+            yield w
 
 
 def find_polarization_element(host: Lattice) -> PolarizationElement:
@@ -319,33 +334,38 @@ def find_polarization_element(host: Lattice) -> PolarizationElement:
     Candidates are integer combinations of the reversal's -1 eigenvectors
     (e_S - reversal(e_S), normalized), by increasing support size and then
     coefficients in {1, -1, 2, -2}; phi_a for such a is antisymmetric by the
-    trace identity.  As det phi_gram(a) = det B' det R_a (see `phi_gram`), a
-    candidate is screened by det R_a, whose entries are small, and only one
-    that passes gets its phi-Gram built and checked (alternating, det != 0).
+    trace identity, and the basis is formed only as far as they reach.  As
+    det phi_gram(a) = det B' det R_a (see `phi_gram`), a candidate is screened
+    by det R_a, whose entries are small, and only one that passes gets its
+    phi-Gram built from the same rows e_J a and checked (alternating, det != 0).
     If det G = 0, no candidate passes: a radical vector of L spans a nilpotent
     ideal of C(L), on which every trace vanishes, so det B' = 0.
     """
     if host.rank > PHI_RANK_CAP:
         raise ValueError(f"rank {host.rank} exceeds the phi-gram cap {PHI_RANK_CAP}")
-    alg = _algebra(host)
-    dim = 1 << host.rank
-    basis = _anti_fixed_basis(host)
+    alg, fresh, basis = _algebra(host), _anti_fixed_basis(host), []
     coeff_choices = (1, -1, 2, -2)
-    candidates = chain((w.scale(c) for w in basis for c in coeff_choices),
-                       (v.scale(cv) + w.scale(cw) for v, w in combinations(basis, 2)
-                        for cv in coeff_choices for cw in coeff_choices))
+
+    def candidates():  # grows `basis` as it goes; the pairs need all of it
+        for w in fresh:
+            basis.append(w)
+            yield from (w.scale(c) for c in coeff_choices)
+        for v, w in combinations(basis, 2):
+            yield from (v.scale(cv) + w.scale(cw) for cv in coeff_choices for cw in coeff_choices)
     tried = 0
     if det_exact(host.gram) == 0:
+        basis.extend(fresh)
         tried = len(coeff_choices) * len(basis) + len(coeff_choices) ** 2 * comb(len(basis), 2)
     else:
-        for a in candidates:
+        for a in candidates():
             tried += 1
             # det R_a^T = det R_a, and row J of R_a^T holds e_J a
-            rows = [alg.mul({j: 1}, a.coeffs) for j in range(dim)]
-            if _nonsingular([[row.get(k, 0) for k in range(dim)] for row in rows], a):
-                g = phi_gram(a)
-                if _is_alternating(g) and _nonsingular(g.tolists(), a):
-                    return PolarizationElement(a, g, tried)
+            rows = [alg.mul({j: 1}, a.coeffs) for j in range(1 << host.rank)]
+            if _nonsingular(rows, a):
+                pol = PolarizationElement(a, phi_gram(a, rows), tried)
+                g_rows = [{k: v for k, v in enumerate(r) if v} for r in pol.gram.tolists()]
+                if pol.is_alternating() and _nonsingular(g_rows, a):
+                    return pol
     raise ValueError(
         f"no polarization element found: searched {tried} candidates over "
         f"{len(basis)} anti-fixed basis elements with support <= 2, "
@@ -415,7 +435,9 @@ def project_endo_to_l(f: EndoMatrix, host: Lattice) -> tuple[int, ...]:
     """Recover the vector part of an endomorphism of C(L), integrally.
 
     c_i = Tr(f . L_{e_i dual}) / 2^n; unimodularity makes the dual basis
-    integral and every quotient exact, which is checked hard.
+    integral and every quotient exact, which is checked hard.  By linearity
+    c = G^-1 t / 2^n, with t_j = Tr(f L_{e_j}) the sum of f[r, k] c over the
+    terms c e_k of the products e_j e_r.
     """
     if not host.is_unimodular():
         raise ValueError("integral projection needs a unimodular host")
@@ -424,13 +446,11 @@ def project_endo_to_l(f: EndoMatrix, host: Lattice) -> tuple[int, ...]:
     n, dim = host.rank, 1 << host.rank
     if f.dim != dim:
         raise ValueError("endomorphism dimension does not match the host")
-    ginv = unimodular_inverse(host.gram)
-    coords = []
-    for i in range(n):
-        dual = CliffordElement.from_vector(host, ginv.column(i))
-        lmat = left_mul_matrix(dual).entries
-        tr = sum(sum(f.entries[r, k] * lmat[k, r] for k in range(dim)) for r in range(dim))
+    alg, entries = _algebra(host), f.entries
+    t = [sum(c * entries[r, k] for r in range(dim) for k, c in alg.mul({1 << j: 1}, {r: 1}).items())
+         for j in range(n)]
+    traces = unimodular_inverse(host.gram).apply(t)  # G^-1 is symmetric
+    for i, tr in enumerate(traces):
         if tr % dim != 0:
             raise AssertionError(f"trace quotient not divisible by 2^n for dual vector {i}: {tr}")
-        coords.append(tr // dim)
-    return tuple(coords)
+    return tuple(tr // dim for tr in traces)

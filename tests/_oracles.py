@@ -2,10 +2,18 @@
 
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
-from k3lattices.clifford import CliffordElement, _anti_fixed_basis, reversal
+from k3lattices.clifford import (
+    CliffordAlgebra,
+    CliffordElement,
+    EndoMatrix,
+    _anti_fixed_basis,
+    left_mul_matrix,
+    reversal,
+)
 from k3lattices.lattices import Isometry, Lattice, discriminant_group, orthogonal_complement, sublattice_embedding
-from k3lattices.linalg import IntMatrix, RatMatrix, det_exact, rational_inverse, smith_normal_form
+from k3lattices.linalg import IntMatrix, RatMatrix, det_exact, rational_inverse, smith_normal_form, unimodular_inverse
 from k3lattices.roots import short_vectors
 
 
@@ -149,11 +157,42 @@ def phi_gram_oracle(a: CliffordElement, traces: dict | None = None) -> IntMatrix
     return IntMatrix([[trace(r * b * a) for b in basis] for r in rev])
 
 
+def trace_form_by_full_recurrence(host: Lattice) -> list[list[int]]:
+    """B'[I][K] = Tr(reversal(e_I) e_K) by the row recurrence on a fresh
+    algebra, every entry summed, the ones that parity forces to 0 included."""
+    alg = CliffordAlgebra(host.gram)
+    dim = 1 << host.rank
+    rows = [[dim * alg.tau(k) for k in range(dim)]]
+    for mask in range(1, dim):
+        i = mask.bit_length() - 1
+        prev = rows[mask ^ 1 << i]
+        rows.append([sum(c * prev[m] for m, c in alg.gen(k, i).items()) for k in range(dim)])
+    return rows
+
+
+def project_endo_by_dense_loop(f: EndoMatrix, host: Lattice) -> tuple[int, ...]:
+    """c_i = Tr(f . L_{e_i dual}) / 2^n, with L a dense `left_mul_matrix` of
+    each dual vector and the trace summed over all 4^n products f[r,k] L[k,r];
+    the same AssertionError when a quotient is not exact."""
+    dim = 1 << host.rank
+    ginv = unimodular_inverse(host.gram)
+    coords = []
+    for i in range(host.rank):
+        l_cols = left_mul_matrix(CliffordElement.from_vector(host, ginv.column(i))).entries.transpose()
+        tr = sum(sum(map(mul, f.entries.row(r), l_cols.row(r))) for r in range(dim))
+        if tr % dim != 0:
+            raise AssertionError(f"trace quotient not divisible by 2^n for dual vector {i}: {tr}")
+        coords.append(tr // dim)
+    return tuple(coords)
+
+
 def find_polarization_oracle(host: Lattice, max_support: int = 2):
     """(element, phi-Gram, candidates tried) of the first candidate whose
     full phi-Gram is alternating with det_exact != 0, over the candidate
-    order of `find_polarization_element`; the same ValueError if none."""
-    basis = _anti_fixed_basis(host)
+    order of `find_polarization_element`; the same ValueError if none.
+    phi_a is linear in a, so each Gram is summed from the `phi_gram_oracle`
+    Grams of the monomials of a, each built once per host."""
+    basis = list(_anti_fixed_basis(host))
     coeff_choices = (1, -1, 2, -2)
     candidates = [w.scale(c) for w in basis for c in coeff_choices]
     if max_support >= 2:
@@ -161,8 +200,14 @@ def find_polarization_oracle(host: Lattice, max_support: int = 2):
                        for i in range(len(basis)) for j in range(i + 1, len(basis))
                        for ci in coeff_choices for cj in coeff_choices]
     traces: dict = {}
+    mono: dict = {}
+    dim = 1 << host.rank
     for tried, a in enumerate(candidates, 1):
-        g = phi_gram_oracle(a, traces)
+        for m in a.coeffs:
+            if m not in mono:
+                mono[m] = phi_gram_oracle(CliffordElement(host, {m: 1}), traces)
+        g = IntMatrix([[sum(c * mono[m][i, j] for m, c in a.coeffs.items()) for j in range(dim)]
+                       for i in range(dim)])
         if all(g[i, j] == -g[j, i] for i in range(g.rows) for j in range(i + 1)) and det_exact(g) != 0:
             return a, g, tried
     raise ValueError(

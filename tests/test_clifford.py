@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import find_polarization_oracle, mono_trace_by_module_loop, phi_gram_oracle
+from _oracles import (
+    find_polarization_oracle,
+    mono_trace_by_module_loop,
+    phi_gram_oracle,
+    project_endo_by_dense_loop,
+    trace_form_by_full_recurrence,
+)
 from k3lattices import clifford
 from k3lattices.clifford import (
     CliffordElement,
@@ -262,6 +268,36 @@ def test_phi_gram_matches_oracle():
             assert phi_gram(a) == phi_gram_oracle(a, traces)
 
 
+def test_trace_form_matches_full_recurrence():
+    # the parity skip stores 0 exactly where the full recurrence sums to 0
+    rng = random.Random(67)
+    for n in range(2, 7):
+        for kind in ("general", "degenerate-plane", "singular"):
+            if kind == "degenerate-plane" and n < 3:
+                continue
+            host = _seeded_host(rng, n, kind)
+            assert clifford._algebra(host).trace_form() == trace_form_by_full_recurrence(host)
+
+
+def test_phi_gram_matches_dense_product_rank_seven():
+    # a host drawn like clifford-pairing's general rank-7 hosts: +-1..3 on the
+    # diagonal, +-1 on the cycle (i, i+1 mod 7)
+    rng = random.Random(71)
+    n = 7
+    while True:
+        g = [[0] * n for _ in range(n)]
+        for i in range(n):
+            g[i][i] = rng.choice((1, -1)) * rng.randint(1, 3)
+            g[i][(i + 1) % n] = g[(i + 1) % n][i] = rng.choice((1, -1))
+        if det_exact(IntMatrix(g)) != 0:
+            break
+    host = Lattice(n, IntMatrix(g))
+    b = trace_form_by_full_recurrence(host)
+    for a in (find_polarization_element(host).element, random_element(rng, host, terms=3)):
+        cols = [list((CliffordElement(host, {j: 1}) * a).coeffs.items()) for j in range(1 << n)]
+        assert phi_gram(a) == IntMatrix([[sum(c * row[k] for k, c in col) for col in cols] for row in b])
+
+
 def test_nonsingular_screen_matches_det_exact():
     # the parity-block test on R_a (as its transpose) and on phi_gram(a),
     # against det_exact of the whole matrix, for even, odd and mixed a
@@ -274,17 +310,17 @@ def test_nonsingular_screen_matches_det_exact():
         dim = 1 << host.rank
         for _ in range(16):
             a = random_element(rng, host, terms=rng.randint(1, 2), bound=2)
-            r_t = [[(CliffordElement(host, {j: 1}) * a).coeffs.get(k, 0) for k in range(dim)]
-                   for j in range(dim)]
-            unit = det_exact(IntMatrix(r_t)) != 0
-            assert clifford._nonsingular(r_t, a) == unit
+            rows = [(CliffordElement(host, {j: 1}) * a).coeffs for j in range(dim)]  # rows of R_a^T
+            unit = det_exact(IntMatrix([[row.get(k, 0) for k in range(dim)] for row in rows])) != 0
+            assert clifford._nonsingular(rows, a) == unit
             g = phi_gram(a)
-            assert clifford._nonsingular(g.tolists(), a) == (det_exact(g) != 0)
+            g_rows = [{k: v for k, v in enumerate(g.row(i)) if v} for i in range(dim)]
+            assert clifford._nonsingular(g_rows, a) == (det_exact(g) != 0)
             seen.add((frozenset(bin(m).count("1") % 2 for m in a.coeffs), unit))
     assert {(frozenset({0}), True), (frozenset({1}), True), (frozenset({0, 1}), True),
             (frozenset({0}), False), (frozenset({1}), False)} <= seen
     # a matrix off the parity pattern of its element is tested whole
-    assert clifford._nonsingular([[0, 1], [1, 0]], CliffordElement.scalar(I1, 1))
+    assert clifford._nonsingular([{1: 1}, {0: 1}], CliffordElement.scalar(I1, 1))
 
 
 def _seeded_host(rng, n, kind):
@@ -312,7 +348,10 @@ def _seeded_host(rng, n, kind):
 def test_find_polarization_matches_oracle():
     rng = random.Random(53)
     cases = [(2, "general"), (3, "general"), (4, "general"), (5, "general"), (6, "general"),
-             (6, "degenerate-plane"), (2, "singular"), (3, "singular")]
+             (6, "degenerate-plane"), (2, "singular"), (3, "singular"),
+             # the lazily formed basis: an early accept, and a failed search
+             # whose error quotes the length of the whole basis
+             (5, "degenerate-plane"), (4, "singular")]
     for n, kind in cases:
         host = _seeded_host(rng, n, kind)
         try:
@@ -511,3 +550,38 @@ def test_project_requires_unimodular():
     f = EndoMatrix(4, IntMatrix.identity(4))
     with pytest.raises(ValueError):
         project_endo_to_l(f, amb)
+
+
+def _unimodular_host(rng, n):
+    """U^T D U with D diagonal +-1 and U = 1 + a +-1 superdiagonal."""
+    u = [[1 if j == i else rng.choice((1, -1)) if j == i + 1 else 0 for j in range(n)] for i in range(n)]
+    d = [rng.choice((1, -1)) for _ in range(n)]
+    return Lattice(n, IntMatrix([[sum(u[k][i] * d[k] * u[k][j] for k in range(n)) for j in range(n)]
+                                 for i in range(n)]))
+
+
+def test_project_matches_dense_loop():
+    rng = random.Random(73)
+    for n in range(2, 11):
+        host = _unimodular_host(rng, n)
+        assert host.is_unimodular()
+        v = tuple(rng.randint(-3, 3) for _ in range(n))
+        masks = [0] + [1 << i for i in range(n)] + [1 << i | 1 << j for i in range(n) for j in range(i)]
+        low_degree = CliffordElement(host, {m: rng.choice((1, -1)) * rng.randint(1, 3) for m in rng.sample(masks, 4)})
+        elements = [CliffordElement.from_vector(host, v), low_degree]
+        for x in elements:
+            f = left_mul_matrix(x)
+            assert project_endo_to_l(f, host) == project_endo_by_dense_loop(f, host)
+        assert project_endo_to_l(left_mul_matrix(elements[0]), host) == v
+
+
+def test_project_matrix_unit_is_not_divisible():
+    # f = E_{0, e_j}: t_j = Tr(f L_{e_j}) = 1, which 2^n does not divide
+    host = _unimodular_host(random.Random(79), 3)
+    for j in range(3):
+        f = EndoMatrix(8, IntMatrix([[int(r == 0 and k == 1 << j) for k in range(8)] for r in range(8)]))
+        with pytest.raises(AssertionError, match="not divisible by 2\\^n") as got:
+            project_endo_to_l(f, host)
+        with pytest.raises(AssertionError) as expected:
+            project_endo_by_dense_loop(f, host)
+        assert str(got.value) == str(expected.value)
