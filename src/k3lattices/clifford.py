@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb, gcd
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .lattices import Lattice
 from .linalg import IntMatrix, det_exact, det_mod, unimodular_inverse
@@ -274,16 +274,15 @@ class PolarizationElement:
         return all(g[i, j] == -g[j, i] for i in range(g.rows) for j in range(i + 1))
 
 
-def phi_gram(a: CliffordElement, rows: Sequence[dict[int, int]] | None = None) -> IntMatrix:
+def phi_gram(a: CliffordElement) -> IntMatrix:
     """Gram matrix of phi_a on the monomial basis of C(L), as B' R_a:
     phi_a(e_I, e_J) = Tr(reversal(e_I) e_J a) = sum_K B'[I][K] R_a[K][J], with
     B' the host's `CliffordAlgebra.trace_form` and R_a the sparse matrix of
-    right multiplication by a; row I sums the rows K of R_a with B'[I][K] != 0.
-    `rows` may hold the products e_J a (the rows of R_a^T) if already formed."""
+    right multiplication by a; row I sums the rows K of R_a with B'[I][K] != 0."""
     alg, dim = _algebra(a.host), 1 << a.host.rank
     r_a: list[list[tuple[int, int]]] = [[] for _ in range(dim)]  # row K: the (J, c) with c e_K in e_J a
-    for j, row in enumerate(rows or [alg.mul({j: 1}, a.coeffs) for j in range(dim)]):
-        for k, c in row.items():
+    for j in range(dim):
+        for k, c in alg.mul({j: 1}, a.coeffs).items():
             r_a[k].append((j, c))
     out = []
     for b_row in alg.trace_form():
@@ -295,25 +294,31 @@ def phi_gram(a: CliffordElement, rows: Sequence[dict[int, int]] | None = None) -
     return IntMatrix._trusted(tuple(out), dim)
 
 
-def _nonsingular(rows: Sequence[dict[int, int]], a: CliffordElement) -> bool:
-    """det m != 0 for m = R_a^T or phi_gram(a), as sparse rows {column: entry}.
-    If a has one degree parity q, the entries (r, c) with deg r + deg c + q odd
-    vanish; when the stored ones do, only the two parity blocks are built and
-    tested.  A nonzero residue modulo P61 certifies a block, `det_exact` a zero one."""
+def _nonsingular(rows: Sequence[dict[int, int] | Sequence[int]], a: CliffordElement) -> bool:
+    """det m != 0 for m = R_a^T, as sparse rows {column: entry}, or phi_gram(a),
+    as dense rows.  If a has one degree parity q, the entries (r, c) with
+    deg r + deg c + q odd vanish; when the nonzero ones do (checked), the two
+    parity blocks (mask r at place r >> 1) are built alone and tested apart.
+    A nonzero residue modulo P61 certifies a block; `det_exact` a zero one."""
     dim = len(rows)
     par = [bin(i).count("1") % 2 for i in range(dim)]
+    terms = [(r, c, v) for r, row in enumerate(rows)
+             for c, v in (row.items() if isinstance(row, dict) else enumerate(row)) if v]
     qs = {par[s] for s in a.coeffs}
     q = min(qs, default=0)
-    if len(qs) == 1 and all(not v or par[r] == par[c] ^ q for r, row in enumerate(rows) for c, v in row.items()):
-        blocks = [[[row.get(c, 0) for c in range(dim) if par[c] == pc] for r, row in enumerate(rows) if par[r] == pc ^ q]
-                  for pc in (0, 1)]
+    if len(qs) == 1 and all(par[r] == par[c] ^ q for r, c, _ in terms):
+        block, place, size = par, [i >> 1 for i in range(dim)], dim >> 1
     else:
-        blocks = [[[row.get(c, 0) for c in range(dim)] for row in rows]]
+        block, place, size = [0] * dim, range(dim), dim
+    blocks = [[[0] * size for _ in range(size)] for _ in range(max(block) + 1)]
+    for r, c, v in terms:
+        blocks[block[c]][place[r]][place[c]] = v
     return all(det_mod(b, P61) or det_exact(IntMatrix(b, cols=len(b))) for b in blocks)
 
 
-def _anti_fixed_basis(host: Lattice) -> Iterator[CliffordElement]:
-    """Primitive spanning elements of the -1 eigenspace of the reversal, lazily."""
+def _anti_fixed_basis(host: Lattice) -> list[CliffordElement]:
+    """Primitive spanning elements of the -1 eigenspace of the reversal."""
+    out = []
     seen = set()
     for mask in sorted(range(1, 1 << host.rank), key=lambda m: (bin(m).count("1"), m)):
         e_s = CliffordElement(host, {mask: 1})
@@ -325,7 +330,8 @@ def _anti_fixed_basis(host: Lattice) -> Iterator[CliffordElement]:
         key = tuple(sorted(w.coeffs.items()))
         if key not in seen:
             seen.update((key, tuple((m, -c) for m, c in key)))
-            yield w
+            out.append(w)
+    return out
 
 
 def find_polarization_element(host: Lattice) -> PolarizationElement:
@@ -334,37 +340,31 @@ def find_polarization_element(host: Lattice) -> PolarizationElement:
     Candidates are integer combinations of the reversal's -1 eigenvectors
     (e_S - reversal(e_S), normalized), by increasing support size and then
     coefficients in {1, -1, 2, -2}; phi_a for such a is antisymmetric by the
-    trace identity, and the basis is formed only as far as they reach.  As
-    det phi_gram(a) = det B' det R_a (see `phi_gram`), a candidate is screened
-    by det R_a, whose entries are small, and only one that passes gets its
-    phi-Gram built from the same rows e_J a and checked (alternating, det != 0).
+    trace identity.  As det phi_gram(a) = det B' det R_a (see `phi_gram`), a
+    candidate is screened by det R_a, whose entries are small, and only one
+    that passes gets its phi-Gram built and checked (alternating, det != 0).
     If det G = 0, no candidate passes: a radical vector of L spans a nilpotent
     ideal of C(L), on which every trace vanishes, so det B' = 0.
     """
     if host.rank > PHI_RANK_CAP:
         raise ValueError(f"rank {host.rank} exceeds the phi-gram cap {PHI_RANK_CAP}")
-    alg, fresh, basis = _algebra(host), _anti_fixed_basis(host), []
+    alg = _algebra(host)
+    dim = 1 << host.rank
+    basis = _anti_fixed_basis(host)
     coeff_choices = (1, -1, 2, -2)
-
-    def candidates():  # grows `basis` as it goes; the pairs need all of it
-        for w in fresh:
-            basis.append(w)
-            yield from (w.scale(c) for c in coeff_choices)
-        for v, w in combinations(basis, 2):
-            yield from (v.scale(cv) + w.scale(cw) for cv in coeff_choices for cw in coeff_choices)
+    candidates = chain((w.scale(c) for w in basis for c in coeff_choices),
+                       (v.scale(cv) + w.scale(cw) for v, w in combinations(basis, 2)
+                        for cv in coeff_choices for cw in coeff_choices))
     tried = 0
     if det_exact(host.gram) == 0:
-        basis.extend(fresh)
         tried = len(coeff_choices) * len(basis) + len(coeff_choices) ** 2 * comb(len(basis), 2)
     else:
-        for a in candidates():
+        for a in candidates:
             tried += 1
             # det R_a^T = det R_a, and row J of R_a^T holds e_J a
-            rows = [alg.mul({j: 1}, a.coeffs) for j in range(1 << host.rank)]
-            if _nonsingular(rows, a):
-                pol = PolarizationElement(a, phi_gram(a, rows), tried)
-                g_rows = [{k: v for k, v in enumerate(r) if v} for r in pol.gram.tolists()]
-                if pol.is_alternating() and _nonsingular(g_rows, a):
+            if _nonsingular([alg.mul({j: 1}, a.coeffs) for j in range(dim)], a):
+                pol = PolarizationElement(a, phi_gram(a), tried)
+                if pol.is_alternating() and _nonsingular(pol.gram.tolists(), a):
                     return pol
     raise ValueError(
         f"no polarization element found: searched {tried} candidates over "

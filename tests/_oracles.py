@@ -192,7 +192,7 @@ def find_polarization_oracle(host: Lattice, max_support: int = 2):
     order of `find_polarization_element`; the same ValueError if none.
     phi_a is linear in a, so each Gram is summed from the `phi_gram_oracle`
     Grams of the monomials of a, each built once per host."""
-    basis = list(_anti_fixed_basis(host))
+    basis = _anti_fixed_basis(host)
     coeff_choices = (1, -1, 2, -2)
     candidates = [w.scale(c) for w in basis for c in coeff_choices]
     if max_support >= 2:

@@ -314,13 +314,13 @@ def test_nonsingular_screen_matches_det_exact():
             unit = det_exact(IntMatrix([[row.get(k, 0) for k in range(dim)] for row in rows])) != 0
             assert clifford._nonsingular(rows, a) == unit
             g = phi_gram(a)
-            g_rows = [{k: v for k, v in enumerate(g.row(i)) if v} for i in range(dim)]
-            assert clifford._nonsingular(g_rows, a) == (det_exact(g) != 0)
+            assert clifford._nonsingular(g.tolists(), a) == (det_exact(g) != 0)
             seen.add((frozenset(bin(m).count("1") % 2 for m in a.coeffs), unit))
     assert {(frozenset({0}), True), (frozenset({1}), True), (frozenset({0, 1}), True),
             (frozenset({0}), False), (frozenset({1}), False)} <= seen
     # a matrix off the parity pattern of its element is tested whole
     assert clifford._nonsingular([{1: 1}, {0: 1}], CliffordElement.scalar(I1, 1))
+    assert clifford._nonsingular([[0, 1], [1, 0]], CliffordElement.scalar(I1, 1))
 
 
 def _seeded_host(rng, n, kind):
@@ -349,8 +349,8 @@ def test_find_polarization_matches_oracle():
     rng = random.Random(53)
     cases = [(2, "general"), (3, "general"), (4, "general"), (5, "general"), (6, "general"),
              (6, "degenerate-plane"), (2, "singular"), (3, "singular"),
-             # the lazily formed basis: an early accept, and a failed search
-             # whose error quotes the length of the whole basis
+             # an early accept, and a failed search whose error quotes the
+             # length of the whole basis
              (5, "degenerate-plane"), (4, "singular")]
     for n, kind in cases:
         host = _seeded_host(rng, n, kind)
@@ -390,8 +390,8 @@ def test_polarization_counters_and_table_sizes():
     assert pol.candidates_tried == 1
     sizes = clifford._algebra(host).table_sizes()
     assert sizes["trace_form_rows"] == 8
-    # the trace form reads every e_mask e_j product, and its first row the
-    # Pfaffian of every mask
+    # the trace form and the accepted candidate's products e_J a together
+    # read every e_mask e_j product, and the first row the Pfaffian of every mask
     assert sizes["generator_products"] == 8 * 3
     assert sizes["pfaffians"] == 8
     # the default keeps the dataclass constructible from element and Gram alone
