@@ -295,23 +295,22 @@ def phi_gram(a: CliffordElement) -> IntMatrix:
 
 
 def _nonsingular(rows: Sequence[dict[int, int] | Sequence[int]], a: CliffordElement) -> bool:
-    """det m != 0 for m = R_a^T, as sparse rows {column: entry}, or phi_gram(a),
-    as dense rows.  If a has one degree parity q, the entries (r, c) with
-    deg r + deg c + q odd vanish; when the nonzero ones do (checked), the two
-    parity blocks (mask r at place r >> 1) are built alone and tested apart.
-    A nonzero residue modulo P61 certifies a block; `det_exact` a zero one."""
+    """det m != 0 for m = R_a^T (sparse rows {column: entry}) or phi_gram(a)
+    (dense rows).  If a has one degree parity q, the entries (r, c) with deg r +
+    deg c + q odd vanish; if the nonzero ones do, only the two parity blocks are
+    built (mask r at r >> 1).  det_mod P61 != 0 certifies a block, else `det_exact`."""
     dim = len(rows)
     par = [bin(i).count("1") % 2 for i in range(dim)]
-    terms = [(r, c, v) for r, row in enumerate(rows)
-             for c, v in (row.items() if isinstance(row, dict) else enumerate(row)) if v]
+
+    def terms():  # the nonzero entries (r, c, v), read alike from both row kinds
+        return ((r, c, v) for r, row in enumerate(rows)
+                for c, v in (row.items() if isinstance(row, dict) else enumerate(row)) if v)
     qs = {par[s] for s in a.coeffs}
     q = min(qs, default=0)
-    if len(qs) == 1 and all(par[r] == par[c] ^ q for r, c, _ in terms):
-        block, place, size = par, [i >> 1 for i in range(dim)], dim >> 1
-    else:
-        block, place, size = [0] * dim, range(dim), dim
+    split = len(qs) == 1 and all(par[r] == par[c] ^ q for r, c, _ in terms())
+    block, place, size = (par, [i >> 1 for i in range(dim)], dim >> 1) if split else ([0] * dim, range(dim), dim)
     blocks = [[[0] * size for _ in range(size)] for _ in range(max(block) + 1)]
-    for r, c, v in terms:
+    for r, c, v in terms():
         blocks[block[c]][place[r]][place[c]] = v
     return all(det_mod(b, P61) or det_exact(IntMatrix(b, cols=len(b))) for b in blocks)
 
