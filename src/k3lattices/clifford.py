@@ -270,8 +270,7 @@ class PolarizationElement:
     candidates_tried: int = 0
 
     def is_alternating(self) -> bool:
-        g = self.gram
-        return all(g[i, j] == -g[j, i] for i in range(g.rows) for j in range(i + 1))
+        return self.gram.transpose() == -self.gram
 
 
 def phi_gram(a: CliffordElement) -> IntMatrix:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from operator import mul
 from typing import Sequence
@@ -53,6 +54,10 @@ class Lattice:
         return self.pairing(x, x)
 
     def det(self) -> int:
+        return self._det
+
+    @cached_property
+    def _det(self) -> int:  # one Bareiss pass per lattice object
         return det_exact(self.gram)
 
     def disc(self) -> int:
@@ -115,7 +120,8 @@ class Isometry:
             raise ValueError("isometry matrix shape mismatch")
         if self.matrix.transpose() @ (self.lattice.gram @ self.matrix) != self.lattice.gram:
             raise ValueError("matrix does not preserve the pairing")
-        if det_exact(self.matrix) not in (1, -1):
+        # g^T G g = G gives det(g)^2 det G = det G, so det g = +-1 unless G is degenerate
+        if not self.lattice.det() and det_exact(self.matrix) not in (1, -1):
             raise ValueError("isometry must be unimodular")
 
     def apply(self, v: Sequence[int]) -> Vector:

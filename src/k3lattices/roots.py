@@ -32,6 +32,7 @@ class ShortVectorReport:
     lattice: Lattice
     norm: int
     vectors: tuple[Vector, ...]
+    nodes: int = 0  # values tried for x_i, i >= 1, over the half tree (rank 1: its phantom x_1 = 0)
 
     def count(self) -> int:
         return len(self.vectors)
@@ -46,8 +47,11 @@ def short_vectors(n: Lattice, target_norm: int) -> ShortVectorReport:
     sum_i (D_{i+1} x_i + C_i)^2 / (D_i D_{i+1}).  Scaling by
     N = lcm(D_i D_{i+1}) with w_i = N / (D_i D_{i+1}) leaves an integer budget,
     and each coordinate, from the last one down, runs over exactly the x_i with
-    w_i (D_{i+1} x_i + C_i)^2 within what is left.  Hits are sums of the
-    reduced basis vectors.
+    w_i (D_{i+1} x_i + C_i)^2 within what is left.  The tree is walked for one
+    of each +-v, the one whose last nonzero reduced coordinate is positive, and
+    each hit is kept with its negation.  x_0 is closed inline from level 1 as
+    w_0 y^2 == what is left, so the leaves build nothing but the hits, which are
+    sums of the reduced basis vectors.  `nodes` counts the x_i tried for i >= 1.
     """
     if target_norm <= 0:
         raise ValueError("target norm must be positive")
@@ -61,31 +65,53 @@ def short_vectors(n: Lattice, target_norm: int) -> ShortVectorReport:
     denominators = [minors[i] * minors[i + 1] for i in range(rank)]
     scale = lcm(*denominators)
     weights = [scale // q for q in denominators]
+    budget = scale * target_norm
+    rows = [row[:i] for i, row in enumerate(numer)]  # rows[i][l] is M_il, l < i
+    if rank == 1:  # a phantom level 1 whose weight exceeds the budget admits only x_1 = 0
+        minors.append(1)
+        weights.append(budget + 1)
+        rows.append([0])
+        basis.append([0])
+    weight0, pivot0, vector0 = weights[0], minors[1], basis[0]
     found: list[Vector] = []
+    nodes = 0
 
-    def descend(i: int, remaining: int, centers: list[int], image: list[int]) -> None:
-        # centers[l] is C_l for l <= i; image is sum x_l basis[l] over the x_l chosen so far
+    def descend(i: int, remaining: int, centers: list[int], image: list[int], signed: bool) -> None:
+        # centers[l] is C_l for l <= i; image is sum x_l basis[l] over the x_l chosen so far;
+        # signed: some chosen x_l is nonzero, so x_i may be negative (else C_i == 0 and x_i >= 0)
+        nonlocal nodes
         center, pivot, weight = centers[i], minors[i + 1], weights[i]
         root = isqrt(remaining // weight)
-        if i == 0:
-            # x_0, the last coordinate visited, must use up the budget: w_0 y^2 == remaining
-            if weight * root * root != remaining:
-                return
-            for y in (root, -root) if root else (0,):
-                x, r = divmod(y - center, pivot)
-                if r == 0:  # built from a list, so the kept tuple has its exact size
-                    found.append(tuple([a + x * b for a, b in zip(image, basis[0])]))
+        lo, hi = -((root + center) // pivot) if signed else 0, (root - center) // pivot
+        nodes += hi - lo + 1
+        row, vector = rows[i], basis[i]
+        if i > 1:
+            for x in range(lo, hi + 1):
+                y = pivot * x + center
+                descend(i - 1, remaining - weight * y * y,
+                        [c + x * m for c, m in zip(centers, row)],
+                        [a + x * b for a, b in zip(image, vector)], signed or x > 0)
             return
-        row, vector = numer[i], basis[i]
-        for x in range(-((root + center) // pivot), (root - center) // pivot + 1):
+        center0, m = centers[0], row[0]
+        for x in range(lo, hi + 1):
+            # x_0, the last coordinate, must use up the budget: w_0 y_0^2 == rest
             y = pivot * x + center
-            descend(i - 1, remaining - weight * y * y,
-                    [c + x * m for c, m in zip(centers, row)],
-                    [a + x * b for a, b in zip(image, vector)])
+            rest = remaining - weight * y * y
+            root0 = isqrt(rest // weight0)
+            if weight0 * root0 * root0 != rest:
+                continue
+            c0 = center0 + x * m
+            for y0 in (root0, -root0) if root0 and (signed or x > 0) else (root0,):
+                x0, r = divmod(y0 - c0, pivot0)
+                if r == 0:  # built from a list, so the kept tuples have their exact size
+                    v = [a + x * b + x0 * e for a, b, e in zip(image, vector, vector0)]
+                    found.append(tuple(v))
+                    found.append(tuple([-a for a in v]))
 
-    descend(rank - 1, scale * target_norm, [0] * rank, [0] * rank)
+    top = len(rows) - 1
+    descend(top, budget, [0] * (top + 1), [0] * rank, False)
     found.sort()
-    return ShortVectorReport(n, target_norm, tuple(found))
+    return ShortVectorReport(n, target_norm, tuple(found), nodes)
 
 
 def minus_two_walls_through(n: Lattice, v: Sequence[int]) -> list[Vector]:

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import product
+from math import isqrt, lcm
 from operator import mul
 
 from k3lattices.clifford import (
@@ -13,7 +14,15 @@ from k3lattices.clifford import (
     reversal,
 )
 from k3lattices.lattices import Isometry, Lattice, discriminant_group, orthogonal_complement, sublattice_embedding
-from k3lattices.linalg import IntMatrix, RatMatrix, det_exact, rational_inverse, smith_normal_form, unimodular_inverse
+from k3lattices.linalg import (
+    IntMatrix,
+    RatMatrix,
+    det_exact,
+    lll_reduce_gram,
+    rational_inverse,
+    smith_normal_form,
+    unimodular_inverse,
+)
 from k3lattices.roots import short_vectors
 
 
@@ -50,6 +59,51 @@ def box_oracle(lat: Lattice, norm: int) -> set:
         for row in tails[total == norm]:
             hits.add(head + tuple(int(x) for x in row))
     return hits
+
+
+def short_vectors_full_tree(n: Lattice, target_norm: int) -> tuple[tuple, int]:
+    """(vectors, nodes) from the same integral LLL and fraction-free
+    Fincke-Pohst as `short_vectors`, but walking the whole tree: both of each
+    +-v, every coordinate in its full range, and a call with its own centres
+    and image for every node down to x_0.  nodes counts the x_i tried for
+    i >= 1, the same count as `ShortVectorReport.nodes`."""
+    if target_norm <= 0:
+        raise ValueError("target norm must be positive")
+    minors, numer, basis = lll_reduce_gram(n.gram)
+    rank = n.rank
+    if rank == 0:
+        return (), 0
+    denominators = [minors[i] * minors[i + 1] for i in range(rank)]
+    scale = lcm(*denominators)
+    weights = [scale // q for q in denominators]
+    found = []
+    nodes = 0
+
+    def descend(i: int, remaining: int, centers: list[int], image: list[int]) -> None:
+        # centers[l] is C_l for l <= i; image is sum x_l basis[l] over the x_l chosen so far
+        nonlocal nodes
+        center, pivot, weight = centers[i], minors[i + 1], weights[i]
+        root = isqrt(remaining // weight)
+        if i == 0:
+            # x_0, the last coordinate visited, must use up the budget: w_0 y^2 == remaining
+            if weight * root * root != remaining:
+                return
+            for y in (root, -root) if root else (0,):
+                x, r = divmod(y - center, pivot)
+                if r == 0:  # built from a list, so the kept tuple has its exact size
+                    found.append(tuple([a + x * b for a, b in zip(image, basis[0])]))
+            return
+        row, vector = numer[i], basis[i]
+        nodes += (root - center) // pivot + (root + center) // pivot + 1
+        for x in range(-((root + center) // pivot), (root - center) // pivot + 1):
+            y = pivot * x + center
+            descend(i - 1, remaining - weight * y * y,
+                    [c + x * m for c, m in zip(centers, row)],
+                    [a + x * b for a, b in zip(image, vector)])
+
+    descend(rank - 1, scale * target_norm, [0] * rank, [0] * rank)
+    found.sort()
+    return tuple(found), nodes
 
 
 def matmul_oracle(a: IntMatrix, b: IntMatrix) -> IntMatrix:

@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from _oracles import box_candidates_oracle, box_oracle, walls_by_complement_oracle
+from _oracles import box_candidates_oracle, box_oracle, short_vectors_full_tree, walls_by_complement_oracle
 from k3lattices import lattices, linalg, roots
 from k3lattices.lattices import (
     Lattice,
@@ -97,6 +97,35 @@ def test_short_vectors_skewed_e8_maps_to_dynkin_roots():
         vectors = short_vectors(skewed, 2).vectors
         assert len(vectors) == 240
         assert {u.apply(x) for x in vectors} == dynkin
+
+
+def test_short_vectors_matches_full_tree_oracle():
+    # the half tree returns exactly the full tree's tuple: same order, each vector once
+    rng = random.Random(31)
+    cases = [(e8(), norm) for norm in (2, 3, 4, 5, 6)] + [(rank_one(2), 3), (rank_one(3), 27)]
+    for _ in range(40):
+        lat = random_posdef(rng, rng.randint(1, 6))
+        if rng.random() < 0.5:
+            u = IntMatrix(random_column_moves(rng, lat.rank, 8))
+            lat = Lattice(lat.rank, u.transpose() @ lat.gram @ u)
+        cases.append((lat, rng.randint(1, 10)))
+    empty = 0
+    for lat, norm in cases:
+        vectors = short_vectors(lat, norm).vectors
+        assert vectors == short_vectors_full_tree(lat, norm)[0]
+        assert len(set(vectors)) == len(vectors)
+        empty += not vectors
+    assert 3 <= empty < len(cases)
+
+
+def test_short_vectors_half_tree_nodes():
+    # one of each +-v: about half the full tree's coordinate values, pinned so
+    # that losing the half tree fails here rather than only in a timing run
+    for norm, nodes, full in ((2, 253, 499), (6, 4776, 9545)):
+        report = short_vectors(e8(), norm)
+        assert report.nodes == nodes
+        assert short_vectors_full_tree(e8(), norm) == (report.vectors, full)
+        assert 2 * nodes <= full + 2 * 8
 
 
 def test_short_vectors_factors_once(monkeypatch):
