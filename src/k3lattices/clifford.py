@@ -270,7 +270,9 @@ class PolarizationElement:
     candidates_tried: int = 0
 
     def is_alternating(self) -> bool:
-        return self.gram.transpose() == -self.gram
+        # row i of -G against column i of G, one at a time, so no second matrix is held
+        rows = [self.gram.row(i) for i in range(self.gram.rows)]
+        return all(tuple([-x for x in row]) == column for row, column in zip(rows, zip(*rows)))
 
 
 def phi_gram(a: CliffordElement) -> IntMatrix:

@@ -3,11 +3,13 @@
 `short_vectors` is integral LLL, then fraction-free Fincke-Pohst, provably
 complete: the all-integer LDL^T that LLL keeps for the reduced basis (one
 symmetric Bareiss pass per search) plus depth-first coordinate bounding with
-integer square roots, so the reported list is exact.  On a hyperbolic
-lattice (signature (1, rank-1)) the vectors w with w^2 = -2 orthogonal to a
-fixed v of positive square live in the negative definite complement v-perp,
-which makes the wall test finite: one enumeration of a positive definite
-majorant, filtered to w.v = 0, finds them with no basis of v-perp.
+integer square roots, so the reported list is exact.  The walk covers half
+the tree, one of each +-v, and closes the last coordinate by a scalar test.
+On a hyperbolic lattice (signature (1, rank-1)) the vectors w with w^2 = -2
+orthogonal to a fixed v of positive square live in the negative definite
+complement v-perp, which makes the wall test finite: one enumeration of a
+positive definite majorant, filtered to w.v = 0, finds them with no basis of
+v-perp.
 `min_polarization_degree` walks the coefficient box once, carrying partial
 squares, into norm shells already in candidate order, and decides them in
 increasing v^2: a candidate orthogonal to a wall that an earlier wall test

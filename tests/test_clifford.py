@@ -17,6 +17,7 @@ from k3lattices import clifford
 from k3lattices.clifford import (
     CliffordElement,
     EndoMatrix,
+    PolarizationElement,
     conjugation_preserves_lattice,
     even_part,
     find_polarization_element,
@@ -215,6 +216,14 @@ def test_find_polarization_i2():
     for _ in range(200):
         x = random_element(rng, I2)
         assert phi_a(x, x, pol.element) == 0
+
+
+def test_is_alternating_needs_antisymmetry_and_a_zero_diagonal():
+    pol = find_polarization_element(U)
+    for rows, alternating in (([[0, 1], [-1, 0]], True), ([[0, 1], [1, 0]], False),
+                              ([[1, 0], [0, -1]], False), ([[0, 2, -3], [-2, 0, 5], [3, -5, 0]], True),
+                              ([[0, 2, -3], [-2, 0, 5], [3, -4, 0]], False)):
+        assert PolarizationElement(pol.element, IntMatrix(rows)).is_alternating() is alternating
 
 
 def test_find_polarization_u():
