@@ -8,8 +8,11 @@ private `CliffordAlgebra` per host lattice, freed with the host.  Traces on the
 2^n-dimensional left-regular module have the closed form Tr(L_{e_S}) =
 2^n Pf(B_S), B_S the Gram of the e_i, i in S (Wick's rule), so traces need
 no matrix at any rank; phi-Grams and the projector to L are summed over the
-nonzero terms of the product tables.  Only what builds a matrix on that module
-is capped: 2^n x 2^n realizations at MATRIX_RANK_CAP, phi-Grams at PHI_RANK_CAP.
+nonzero terms of the product tables.  The polarization search proves det R_a
+!= 0 from a^2 when that is a scalar, and otherwise by `det_mod` on parity
+blocks, with `det_exact` wherever a residue is 0.  Only what builds a matrix
+on that module is capped: 2^n x 2^n realizations at MATRIX_RANK_CAP, phi-Grams
+at PHI_RANK_CAP.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .linalg import IntMatrix, det_exact, det_mod, unimodular_inverse
 
 MATRIX_RANK_CAP = 10
 PHI_RANK_CAP = 8
-P61 = (1 << 61) - 1
+P31 = (1 << 31) - 1
 
 
 def _mask_indices(mask: int) -> list[int]:
@@ -96,7 +99,9 @@ class CliffordAlgebra:
         """B'[I][K] = Tr(reversal(e_I) e_K), built by rows: with i the top
         index of I, reversal(e_I) = e_i reversal(e_{I-i}), so cyclicity gives
         B'[I][K] = sum of c B'[I-i][m] over the terms c e_m of e_K e_i; odd
-        elements are traceless, so B'[I][K] = 0 unless deg I + deg K is even."""
+        elements are traceless, so B'[I][K] = 0 unless deg I + deg K is even.
+        The reversal keeps traces, so B'[I][K] = Tr(reversal(e_K) e_I) =
+        B'[K][I]: row I copies its entries K < I from the rows above it."""
         if self._trace_form is None:
             dim = 1 << self.n
             self._trace_form = rows = [[dim * self.tau(k) for k in range(dim)]]
@@ -104,8 +109,9 @@ class CliffordAlgebra:
             for mask in range(1, dim):
                 i = mask.bit_length() - 1
                 prev = rows[mask ^ 1 << i]
-                rows.append([sum(c * prev[m] for m, c in self.gen(k, i).items()) if par[k] == par[mask] else 0
-                             for k in range(dim)])
+                rows.append([row[mask] for row in rows]
+                            + [sum(c * prev[m] for m, c in self.gen(k, i).items()) if par[k] == par[mask] else 0
+                               for k in range(mask, dim)])
         return self._trace_form
 
 
@@ -268,6 +274,7 @@ class PolarizationElement:
     element: CliffordElement
     gram: IntMatrix
     candidates_tried: int = 0
+    eliminations: int = 0  # det_mod and det_exact runs of the search
 
     def is_alternating(self) -> bool:
         # row i of -G against column i of G, one at a time, so no second matrix is held
@@ -295,25 +302,30 @@ def phi_gram(a: CliffordElement) -> IntMatrix:
     return IntMatrix._trusted(tuple(out), dim)
 
 
-def _nonsingular(rows: Sequence[dict[int, int] | Sequence[int]], a: CliffordElement) -> bool:
-    """det m != 0 for m = R_a^T (sparse rows {column: entry}) or phi_gram(a)
-    (dense rows).  If a has one degree parity q, the entries (r, c) with deg r +
-    deg c + q odd vanish; if the nonzero ones do, only the two parity blocks are
-    built (mask r at r >> 1).  det_mod P61 != 0 certifies a block, else `det_exact`."""
+def _nonsingular(rows: Sequence[Sequence[int]], a: CliffordElement) -> tuple[bool, int]:
+    """(det m != 0, the number of block eliminations run) for m = R_a^T or
+    phi_gram(a), given by dense rows.  If a has one degree parity q, the
+    entries (r, c) with deg r + deg c + q odd vanish; if they do in m, only the
+    two parity blocks are eliminated, block b on the masks c of parity b and
+    r of parity b ^ q.  A block is nonsingular if det_mod P31 != 0 (a proof for
+    any prime), else exactly when `det_exact` != 0."""
     dim = len(rows)
     par = [bin(i).count("1") % 2 for i in range(dim)]
-
-    def terms():  # the nonzero entries (r, c, v), read alike from both row kinds
-        return ((r, c, v) for r, row in enumerate(rows)
-                for c, v in (row.items() if isinstance(row, dict) else enumerate(row)) if v)
+    masks = [[i for i in range(dim) if par[i] == b] for b in (0, 1)]
     qs = {par[s] for s in a.coeffs}
     q = min(qs, default=0)
-    split = len(qs) == 1 and all(par[r] == par[c] ^ q for r, c, _ in terms())
-    block, place, size = (par, [i >> 1 for i in range(dim)], dim >> 1) if split else ([0] * dim, range(dim), dim)
-    blocks = [[[0] * size for _ in range(size)] for _ in range(max(block) + 1)]
-    for r, c, v in terms():
-        blocks[block[c]][place[r]][place[c]] = v
-    return all(det_mod(b, P61) or det_exact(IntMatrix(b, cols=len(b))) for b in blocks)
+    if len(qs) == 1 and not any(rows[r][c] for r in range(dim) for c in masks[par[r] ^ q ^ 1]):
+        blocks = [[[rows[r][c] for c in cols] for r in masks[b ^ q]] for b, cols in enumerate(masks)]
+    else:
+        blocks = [rows]
+    runs = 0
+    for block in blocks:
+        runs += 1
+        if not det_mod(block, P31):
+            runs += 1
+            if not det_exact(IntMatrix(block, cols=len(block))):
+                return False, runs
+    return True, runs
 
 
 def _anti_fixed_basis(host: Lattice) -> list[CliffordElement]:
@@ -341,10 +353,14 @@ def find_polarization_element(host: Lattice) -> PolarizationElement:
     (e_S - reversal(e_S), normalized), by increasing support size and then
     coefficients in {1, -1, 2, -2}; phi_a for such a is antisymmetric by the
     trace identity.  As det phi_gram(a) = det B' det R_a (see `phi_gram`), a
-    candidate is screened by det R_a, whose entries are small, and only one
-    that passes gets its phi-Gram built and checked (alternating, det != 0).
-    If det G = 0, no candidate passes: a radical vector of L spans a nilpotent
-    ideal of C(L), on which every trace vanishes, so det B' = 0.
+    candidate is screened by det R_a != 0, and only one that passes gets its
+    phi-Gram built and checked (alternating, det != 0).  If a^2 is a scalar c,
+    then R_a^2 = c I and det R_a != 0 exactly when c != 0, so no elimination
+    is needed; this settles the candidates from |S| = 2 and 3, which come
+    first and are 2- and 3-blades.  Only the other candidates eliminate R_a
+    with `_nonsingular`; `eliminations` counts the block eliminations of the
+    search.  If det G = 0, no candidate passes: a radical vector of L spans a
+    nilpotent ideal of C(L), on which every trace vanishes, so det B' = 0.
     """
     if host.rank > PHI_RANK_CAP:
         raise ValueError(f"rank {host.rank} exceeds the phi-gram cap {PHI_RANK_CAP}")
@@ -355,17 +371,27 @@ def find_polarization_element(host: Lattice) -> PolarizationElement:
     candidates = chain((w.scale(c) for w in basis for c in coeff_choices),
                        (v.scale(cv) + w.scale(cw) for v, w in combinations(basis, 2)
                         for cv in coeff_choices for cw in coeff_choices))
-    tried = 0
-    if det_exact(host.gram) == 0:
+    tried = runs = 0
+    if not host.is_nondegenerate():
         tried = len(coeff_choices) * len(basis) + len(coeff_choices) ** 2 * comb(len(basis), 2)
     else:
         for a in candidates:
             tried += 1
-            # det R_a^T = det R_a, and row J of R_a^T holds e_J a
-            if _nonsingular([alg.mul({j: 1}, a.coeffs) for j in range(dim)], a):
-                pol = PolarizationElement(a, phi_gram(a), tried)
-                if pol.is_alternating() and _nonsingular(pol.gram.tolists(), a):
-                    return pol
+            square = alg.mul(a.coeffs, a.coeffs)
+            c = square.pop(0, 0)
+            if not any(square.values()):  # a^2 = c, so R_a^2 = c I
+                unit = c != 0
+            else:  # det R_a^T = det R_a, and row J of R_a^T holds e_J a
+                products = [alg.mul({j: 1}, a.coeffs) for j in range(dim)]
+                unit, n = _nonsingular([[e.get(k, 0) for k in range(dim)] for e in products], a)
+                runs += n
+            if unit:
+                gram = phi_gram(a)
+                if PolarizationElement(a, gram).is_alternating():
+                    unit, n = _nonsingular(gram.tolists(), a)
+                    runs += n
+                    if unit:
+                        return PolarizationElement(a, gram, tried, runs)
     raise ValueError(
         f"no polarization element found: searched {tried} candidates over "
         f"{len(basis)} anti-fixed basis elements with support <= 2, "

@@ -240,19 +240,29 @@ def project_endo_by_dense_loop(f: EndoMatrix, host: Lattice) -> tuple[int, ...]:
     return tuple(coords)
 
 
+POLARIZATION_COEFFS = (1, -1, 2, -2)
+
+
+def polarization_candidates(host: Lattice, max_support: int = 2):
+    """(anti-fixed basis, candidates) in the order `find_polarization_element`
+    tries them: each basis element times each coefficient, then the sums of
+    two of them."""
+    basis = _anti_fixed_basis(host)
+    candidates = [w.scale(c) for w in basis for c in POLARIZATION_COEFFS]
+    if max_support >= 2:
+        candidates += [basis[i].scale(ci) + basis[j].scale(cj)
+                       for i in range(len(basis)) for j in range(i + 1, len(basis))
+                       for ci in POLARIZATION_COEFFS for cj in POLARIZATION_COEFFS]
+    return basis, candidates
+
+
 def find_polarization_oracle(host: Lattice, max_support: int = 2):
     """(element, phi-Gram, candidates tried) of the first candidate whose
     full phi-Gram is alternating with det_exact != 0, over the candidate
     order of `find_polarization_element`; the same ValueError if none.
     phi_a is linear in a, so each Gram is summed from the `phi_gram_oracle`
     Grams of the monomials of a, each built once per host."""
-    basis = _anti_fixed_basis(host)
-    coeff_choices = (1, -1, 2, -2)
-    candidates = [w.scale(c) for w in basis for c in coeff_choices]
-    if max_support >= 2:
-        candidates += [basis[i].scale(ci) + basis[j].scale(cj)
-                       for i in range(len(basis)) for j in range(i + 1, len(basis))
-                       for ci in coeff_choices for cj in coeff_choices]
+    basis, candidates = polarization_candidates(host, max_support)
     traces: dict = {}
     mono: dict = {}
     dim = 1 << host.rank
@@ -267,4 +277,4 @@ def find_polarization_oracle(host: Lattice, max_support: int = 2):
     raise ValueError(
         f"no polarization element found: searched {len(candidates)} candidates over "
         f"{len(basis)} anti-fixed basis elements with support <= {max_support}, "
-        f"coefficients in {coeff_choices}")
+        f"coefficients in {POLARIZATION_COEFFS}")

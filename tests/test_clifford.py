@@ -10,6 +10,7 @@ from _oracles import (
     find_polarization_oracle,
     mono_trace_by_module_loop,
     phi_gram_oracle,
+    polarization_candidates,
     project_endo_by_dense_loop,
     trace_form_by_full_recurrence,
 )
@@ -319,17 +320,17 @@ def test_nonsingular_screen_matches_det_exact():
         dim = 1 << host.rank
         for _ in range(16):
             a = random_element(rng, host, terms=rng.randint(1, 2), bound=2)
-            rows = [(CliffordElement(host, {j: 1}) * a).coeffs for j in range(dim)]  # rows of R_a^T
-            unit = det_exact(IntMatrix([[row.get(k, 0) for k in range(dim)] for row in rows])) != 0
-            assert clifford._nonsingular(rows, a) == unit
+            products = [(CliffordElement(host, {j: 1}) * a).coeffs for j in range(dim)]
+            rows = [[e.get(k, 0) for k in range(dim)] for e in products]  # rows of R_a^T
+            unit = det_exact(IntMatrix(rows)) != 0
+            assert clifford._nonsingular(rows, a)[0] == unit
             g = phi_gram(a)
-            assert clifford._nonsingular(g.tolists(), a) == (det_exact(g) != 0)
+            assert clifford._nonsingular(g.tolists(), a)[0] == (det_exact(g) != 0)
             seen.add((frozenset(bin(m).count("1") % 2 for m in a.coeffs), unit))
     assert {(frozenset({0}), True), (frozenset({1}), True), (frozenset({0, 1}), True),
             (frozenset({0}), False), (frozenset({1}), False)} <= seen
     # a matrix off the parity pattern of its element is tested whole
-    assert clifford._nonsingular([{1: 1}, {0: 1}], CliffordElement.scalar(I1, 1))
-    assert clifford._nonsingular([[0, 1], [1, 0]], CliffordElement.scalar(I1, 1))
+    assert clifford._nonsingular([[0, 1], [1, 0]], CliffordElement.scalar(I1, 1)) == (True, 1)
 
 
 def _seeded_host(rng, n, kind):
@@ -393,18 +394,73 @@ def test_find_polarization_rank_eight():
     assert pol.is_alternating() and det_mod(pol.gram.tolists(), (1 << 61) - 1) != 0
 
 
+def test_square_certificate_matches_det_r_a():
+    # if a^2 is a scalar c, then R_a^2 = c I, and det R_a != 0 exactly when
+    # c != 0; checked on the first 40 candidates in search order, which
+    # reach the sums of two basis elements on rank 3.  det R_{ka} = k^dim
+    # det R_a, so det_exact runs once per candidate up to scaling.
+    rng = random.Random(73)
+    seen = set()
+    for n in range(2, 7):
+        for kind in ("general", "degenerate-plane") if n >= 3 else ("general",):
+            host = _seeded_host(rng, n, kind)
+            basis, candidates = polarization_candidates(host)
+            units = {}
+            for tried, a in enumerate(candidates[:40], 1):
+                square = (a * a).coeffs
+                if set(square) <= {0}:
+                    k = a.content() * (1 if max(a.coeffs.items())[1] > 0 else -1)
+                    key = tuple(sorted((m, c // k) for m, c in a.coeffs.items()))
+                    if key not in units:
+                        r_a_t = [[(CliffordElement(host, {j: 1}) * a).coeffs.get(m, 0) for m in range(1 << n)]
+                                 for j in range(1 << n)]
+                        units[key] = det_exact(IntMatrix(r_a_t)) != 0
+                    assert (square.get(0, 0) != 0) == units[key]
+                    seen.add((tried > 4 * len(basis), units[key]))
+    assert seen == {(False, True), (False, False), (True, True), (True, False)}
+
+
+def test_search_eliminates_only_the_accepted_phi_gram(monkeypatch):
+    # on a degenerate-plane host the four rejected candidates square to 0,
+    # so only the accepted candidate's phi-Gram is eliminated, by det_mod alone
+    host = _seeded_host(random.Random(79), 5, "degenerate-plane")
+    calls = []
+    nonsingular = clifford._nonsingular
+
+    def counted(rows, a):
+        calls.append([list(row) for row in rows])
+        return nonsingular(rows, a)
+
+    def no_det_exact(m):
+        raise AssertionError("det_exact ran")
+
+    monkeypatch.setattr(clifford, "_nonsingular", counted)
+    monkeypatch.setattr(clifford, "det_exact", no_det_exact)
+    pol = find_polarization_element(host)
+    assert pol.candidates_tried == 5
+    assert calls == [pol.gram.tolists()]
+    assert pol.eliminations == 2
+
+
 def test_polarization_counters_and_table_sizes():
     host = direct_sum(U, rank_one(1))
     pol = find_polarization_element(host)
     assert pol.candidates_tried == 1
     sizes = clifford._algebra(host).table_sizes()
     assert sizes["trace_form_rows"] == 8
-    # the trace form and the accepted candidate's products e_J a together
-    # read every e_mask e_j product, and the first row the Pfaffian of every mask
-    assert sizes["generator_products"] == 8 * 3
+    # the search reads 21 of the 8 * 3 products e_mask e_j: the trace form's
+    # row I reads e_K e_i (i the top index of I) only for K >= I and copies
+    # B'[K][I] for K < I, so e_0 e_2, e_1 e_2 and e_0 e_1 e_2 (the rows I >= 4
+    # at K = 1, 2, 3) are never read; the first row reads the Pfaffian of every mask
+    assert sizes["generator_products"] == 21
     assert sizes["pfaffians"] == 8
-    # the default keeps the dataclass constructible from element and Gram alone
+    # the defaults keep the dataclass constructible from element and Gram alone
     assert clifford.PolarizationElement(pol.element, pol.gram).candidates_tried == 0
+    assert clifford.PolarizationElement(pol.element, pol.gram, 1).eliminations == 0
+    # a general rank-5 host: the first candidate passes on its square, and
+    # its phi-Gram is eliminated as two parity blocks
+    general = find_polarization_element(_seeded_host(random.Random(83), 5, "general"))
+    assert (general.candidates_tried, general.eliminations) == (1, 2)
 
 
 def test_algebra_tables_freed_with_hosts():

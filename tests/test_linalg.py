@@ -200,6 +200,32 @@ def test_det_mod_vs_oracle():
     assert det_mod([], 7) == 1
 
 
+def test_det_mod_matches_det_exact_across_many_slots():
+    # rows pack into many slots here: entries far beyond p and negative ones,
+    # zero leading columns that force row swaps, and dependent rows
+    rng = random.Random(14)
+    primes = (2, 3, 7, 101, (1 << 31) - 1, (1 << 61) - 1, (1 << 89) - 1)
+    for t in range(60):
+        n = rng.randint(1, 24)
+        bound = rng.choice((1, 5, 10 ** 12, 10 ** 40))
+        rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+        if t % 4 == 1:
+            for row in rows[:n // 2 + 1]:
+                row[0] = 0
+        if t % 4 == 2 and n > 2:
+            rows[rng.randrange(2, n)] = [3 * a - b for a, b in zip(rows[0], rows[1])]
+        det = det_exact(IntMatrix(rows))
+        if t % 4 == 2 and n > 2:
+            assert det == 0
+        for p in primes:
+            assert det_mod(rows, p) == det % p
+    # a pivot that is zero mod p in the first column, and one a step later
+    assert det_mod([[7, 1], [3, 0]], 7) == -3 % 7
+    assert det_mod([[1, 2, 3], [2, 4, 5], [1, 0, 0]], 101) == -2 % 101
+    for p in primes:
+        assert det_mod([], p) == 1
+
+
 def test_det_congruence_invariant():
     rng = random.Random(13)
     for _ in range(20):
