@@ -8,27 +8,25 @@ private `CliffordAlgebra` per host lattice, freed with the host.  Traces on the
 2^n-dimensional left-regular module have the closed form Tr(L_{e_S}) =
 2^n Pf(B_S), B_S the Gram of the e_i, i in S (Wick's rule), so traces need
 no matrix at any rank; phi-Grams and the projector to L are summed over the
-nonzero terms of the product tables.  The polarization search proves det R_a
-!= 0 from a^2 when that is a scalar, and otherwise by `det_mod` on parity
-blocks, with `det_exact` wherever a residue is 0.  Only what builds a matrix
-on that module is capped: 2^n x 2^n realizations at MATRIX_RANK_CAP, phi-Grams
-at PHI_RANK_CAP.
+nonzero terms of the product tables, and phi_a reads the host's trace form
+when it is built.  The polarization search certifies det phi_a != 0 in
+closed form, from det G and a scalar a^2, and runs no elimination.  Only
+what builds a matrix on that module is capped: 2^n x 2^n realizations and
+phi-Grams, at MATRIX_RANK_CAP.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from itertools import chain, combinations
 from math import comb, gcd
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .lattices import Lattice
-from .linalg import IntMatrix, det_exact, det_mod, unimodular_inverse
+from .linalg import IntMatrix, unimodular_inverse
 
 MATRIX_RANK_CAP = 10
-PHI_RANK_CAP = 8
-P31 = (1 << 31) - 1
+PHI_RANK_CAP = MATRIX_RANK_CAP
 
 
 def _mask_indices(mask: int) -> list[int]:
@@ -263,10 +261,19 @@ def left_mul_matrix(x: CliffordElement) -> EndoMatrix:
 
 
 def phi_a(x: CliffordElement, y: CliffordElement, a: CliffordElement) -> int:
-    """The pairing Tr(reversal(x) * y * a) on the left-regular module."""
+    """The pairing Tr(reversal(x) * y * a) on the left-regular module, from
+    one product z = y a.  Tr(reversal(e_I) z) is sum_K B'[I][K] z_K, read
+    from the host's trace form B' when it is built; otherwise cyclicity makes
+    it Tr(z e_{ik} ... e_{i1}), |I| generator steps and the Pfaffians of the
+    result.  phi_a never builds B' itself, so it needs no cap."""
     x._check_host(y)
     x._check_host(a)
-    return trace_of_left_mul(reversal(x) * y * a)
+    alg = _algebra(x.host)
+    z = alg.mul(y.coeffs, a.coeffs)
+    if alg._trace_form is not None:
+        return sum(c * sum(alg._trace_form[i][k] * v for k, v in z.items()) for i, c in x.coeffs.items())
+    return (1 << x.host.rank) * sum(c * alg.tau(m) * v for i, c in x.coeffs.items()
+                                    for m, v in alg.times(z, _mask_indices(i)[::-1]).items())
 
 
 @dataclass(frozen=True)
@@ -274,7 +281,6 @@ class PolarizationElement:
     element: CliffordElement
     gram: IntMatrix
     candidates_tried: int = 0
-    eliminations: int = 0  # det_mod and det_exact runs of the search
 
     def is_alternating(self) -> bool:
         # row i of -G against column i of G, one at a time, so no second matrix is held
@@ -302,43 +308,20 @@ def phi_gram(a: CliffordElement) -> IntMatrix:
     return IntMatrix._trusted(tuple(out), dim)
 
 
-def _nonsingular(rows: Sequence[Sequence[int]], a: CliffordElement) -> tuple[bool, int]:
-    """(det m != 0, the number of block eliminations run) for m = R_a^T or
-    phi_gram(a), given by dense rows.  If a has one degree parity q, the
-    entries (r, c) with deg r + deg c + q odd vanish; if they do in m, only the
-    two parity blocks are eliminated, block b on the masks c of parity b and
-    r of parity b ^ q.  A block is nonsingular if det_mod P31 != 0 (a proof for
-    any prime), else exactly when `det_exact` != 0."""
-    dim = len(rows)
-    par = [bin(i).count("1") % 2 for i in range(dim)]
-    masks = [[i for i in range(dim) if par[i] == b] for b in (0, 1)]
-    qs = {par[s] for s in a.coeffs}
-    q = min(qs, default=0)
-    if len(qs) == 1 and not any(rows[r][c] for r in range(dim) for c in masks[par[r] ^ q ^ 1]):
-        blocks = [[[rows[r][c] for c in cols] for r in masks[b ^ q]] for b, cols in enumerate(masks)]
-    else:
-        blocks = [rows]
-    runs = 0
-    for block in blocks:
-        runs += 1
-        if not det_mod(block, P31):
-            runs += 1
-            if not det_exact(IntMatrix(block, cols=len(block))):
-                return False, runs
-    return True, runs
+def _anti_fixed(host: Lattice, masks: Iterable[int]) -> Iterable[CliffordElement]:
+    """e_S - reversal(e_S) over its content, for the S in masks where it is not 0."""
+    for mask in masks:
+        e_s = CliffordElement(host, {mask: 1})
+        w = e_s - reversal(e_s)
+        if not w.is_zero():
+            g = w.content()
+            yield CliffordElement(host, {m: c // g for m, c in w.coeffs.items()})
 
 
 def _anti_fixed_basis(host: Lattice) -> list[CliffordElement]:
     """Primitive spanning elements of the -1 eigenspace of the reversal."""
-    out = []
-    seen = set()
-    for mask in sorted(range(1, 1 << host.rank), key=lambda m: (bin(m).count("1"), m)):
-        e_s = CliffordElement(host, {mask: 1})
-        w = e_s - reversal(e_s)
-        if w.is_zero():
-            continue
-        g = w.content()
-        w = CliffordElement(host, {m: c // g for m, c in w.coeffs.items()})
+    out, seen = [], set()
+    for w in _anti_fixed(host, sorted(range(1, 1 << host.rank), key=lambda m: (bin(m).count("1"), m))):
         key = tuple(sorted(w.coeffs.items()))
         if key not in seen:
             seen.update((key, tuple((m, -c) for m, c in key)))
@@ -349,49 +332,49 @@ def _anti_fixed_basis(host: Lattice) -> list[CliffordElement]:
 def find_polarization_element(host: Lattice) -> PolarizationElement:
     """Search for a with phi_a alternating and nondegenerate.
 
-    Candidates are integer combinations of the reversal's -1 eigenvectors
-    (e_S - reversal(e_S), normalized), by increasing support size and then
-    coefficients in {1, -1, 2, -2}; phi_a for such a is antisymmetric by the
-    trace identity.  As det phi_gram(a) = det B' det R_a (see `phi_gram`), a
-    candidate is screened by det R_a != 0, and only one that passes gets its
-    phi-Gram built and checked (alternating, det != 0).  If a^2 is a scalar c,
-    then R_a^2 = c I and det R_a != 0 exactly when c != 0, so no elimination
-    is needed; this settles the candidates from |S| = 2 and 3, which come
-    first and are 2- and 3-blades.  Only the other candidates eliminate R_a
-    with `_nonsingular`; `eliminations` counts the block eliminations of the
-    search.  If det G = 0, no candidate passes: a radical vector of L spans a
-    nilpotent ideal of C(L), on which every trace vanishes, so det B' = 0.
+    Candidates are the primitive -1 eigenvectors w_S of the reversal
+    (`_anti_fixed_basis`), by increasing |S| and then S, each times 1, -1, 2,
+    -2.  phi_a is antisymmetric for each, as the trace is cyclic and
+    reversal-invariant and reversal(a) = -a, and phi_gram(a) = B' R_a (see
+    `phi_gram`), so det phi_gram(a) = det B' det R_a in closed form:
+
+    - det B' = 2^(n 2^n) det(G)^(2^(n-1)).  Over Q take an orthogonal basis
+      f = P e, of norms q_i.  reversal(f_S) f_T is a scalar times f_{S xor T},
+      of trace 0 unless S = T, so on the f-monomials B' is diagonal with
+      entries 2^n prod_{i in S} q_i, each i in 2^(n-1) sets S.  f_S is the
+      wedge of its f_i plus lower degree terms, so the change of monomial
+      basis is block-triangular by degree with blocks Lambda^k P, of
+      determinant det(P)^(2^(n-1)); and prod q_i = det(P)^2 det G.
+    - If a^2 = c is a scalar, R_a^2 = c I, so det R_a = +-c^(2^(n-1)); then
+      phi_a is nondegenerate exactly when det G != 0 and c != 0.
+    - For |S| = 2, 3 reversal is -1 on the blade e_{i1} ^ ... ^ e_{ik} and
+      fixes the lower terms of e_S, so w_S is that blade, of square -det G_S
+      (G_S the principal minor on S); k w_S has square -k^2 det G_S.
+    - If det G != 0 and n >= 2, some G_S with |S| = 2, 3 is nonsingular:
+      else g_ij^2 = g_ii g_jj and g_ij g_jk g_ik = g_ii g_jj g_kk for all
+      i, j, k, so G = 0 if its diagonal is 0, and otherwise every
+      g_jk = g_ij g_ik / g_ii for some g_ii != 0: G has rank <= 1.
+
+    So the search takes the first |S| = 2, 3 blade with c != 0, at
+    coefficient 1 after the four multiples of each earlier blade, builds its
+    phi-Gram, checks that it is alternating and eliminates nothing.  If
+    det G = 0, or n = 1, no candidate is nondegenerate; the error quotes the
+    whole candidate space, every multiple of a basis element or of a sum of
+    two.
     """
     if host.rank > PHI_RANK_CAP:
         raise ValueError(f"rank {host.rank} exceeds the phi-gram cap {PHI_RANK_CAP}")
-    alg = _algebra(host)
-    dim = 1 << host.rank
-    basis = _anti_fixed_basis(host)
     coeff_choices = (1, -1, 2, -2)
-    candidates = chain((w.scale(c) for w in basis for c in coeff_choices),
-                       (v.scale(cv) + w.scale(cw) for v, w in combinations(basis, 2)
-                        for cv in coeff_choices for cw in coeff_choices))
-    tried = runs = 0
-    if not host.is_nondegenerate():
-        tried = len(coeff_choices) * len(basis) + len(coeff_choices) ** 2 * comb(len(basis), 2)
-    else:
-        for a in candidates:
-            tried += 1
-            square = alg.mul(a.coeffs, a.coeffs)
-            c = square.pop(0, 0)
-            if not any(square.values()):  # a^2 = c, so R_a^2 = c I
-                unit = c != 0
-            else:  # det R_a^T = det R_a, and row J of R_a^T holds e_J a
-                products = [alg.mul({j: 1}, a.coeffs) for j in range(dim)]
-                unit, n = _nonsingular([[e.get(k, 0) for k in range(dim)] for e in products], a)
-                runs += n
-            if unit:
-                gram = phi_gram(a)
-                if PolarizationElement(a, gram).is_alternating():
-                    unit, n = _nonsingular(gram.tolists(), a)
-                    runs += n
-                    if unit:
-                        return PolarizationElement(a, gram, tried, runs)
+    if host.is_nondegenerate():
+        alg = _algebra(host)
+        blades = [m for k in (2, 3) for m in range(1 << host.rank) if bin(m).count("1") == k]
+        for i, w in enumerate(_anti_fixed(host, blades)):
+            if alg.mul(w.coeffs, w.coeffs).get(0, 0):
+                pol = PolarizationElement(w, phi_gram(w), len(coeff_choices) * i + 1)
+                if pol.is_alternating():
+                    return pol
+    basis = _anti_fixed_basis(host)
+    tried = len(coeff_choices) * len(basis) + len(coeff_choices) ** 2 * comb(len(basis), 2)
     raise ValueError(
         f"no polarization element found: searched {tried} candidates over "
         f"{len(basis)} anti-fixed basis elements with support <= 2, "

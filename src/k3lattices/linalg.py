@@ -6,11 +6,8 @@ serves LDL^T and Sylvester signatures; determinants and the Gauss-Jordan
 inverse (integer numerators over one determinant, wrapped as a `RatMatrix`)
 use the same update.  Smith normal form with transforms serves where Smith
 data is the answer, as for saturated kernels.  Integral LLL builds on LDL^T.
-`det_mod` eliminates over GF(p) instead, each row packed into one int so a
-row step is a few bigint operations: a nonzero residue is a cheap proof that
-a determinant is nonzero.  Products skip the zeros of the left factor
-(each product row is a sum of rows of the right factor) and build no
-transpose.
+Products skip the zeros of the left factor (each product row is a sum of
+rows of the right factor) and build no transpose.
 """
 
 from __future__ import annotations
@@ -295,38 +292,6 @@ def det_exact(m: IntMatrix) -> int:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-def det_mod(rows: Sequence[Sequence[int]], p: int) -> int:
-    """Determinant modulo the prime p, by Gaussian elimination over GF(p).
-
-    Each row is packed into one int, column j in the slot of w bits at bit
-    w*j, every slot nonnegative.  A row step adds (p - f) times the pivot row
-    reduced mod p and shifts the pivot column out, so a row update is a few
-    bigint operations; a slot gains less than p^2 per step and stays below
-    n p^2 < 2^w.  Only the pivot row and the pivot column are reduced mod p.
-    Rows whose pivot-column entry is zero mod p are only shifted."""
-    n = len(rows)
-    w = 2 * p.bit_length() + n.bit_length() + 1
-    slot = (1 << w) - 1
-    packed = [sum(x % p << w * j for j, x in enumerate(row)) for row in rows]
-    det = 1
-    while packed:
-        heads = [(r & slot) % p for r in packed]
-        piv = next((i for i, h in enumerate(heads) if h), None)
-        if piv is None:
-            return 0
-        if piv:
-            packed[0], packed[piv] = packed[piv], packed[0]
-            heads[0], heads[piv] = heads[piv], heads[0]
-            det = -det
-        det = det * heads[0] % p
-        inv = pow(heads[0], -1, p)
-        top = packed[0] >> w
-        tail = sum((top >> w * j & slot) % p << w * j for j in range(len(packed) - 1))
-        packed = [(r >> w) + (p - h * inv % p) * tail if h else r >> w
-                  for r, h in zip(packed[1:], heads[1:])]
-    return det % p
 
 
 def _symmetric_bareiss(gram: IntMatrix) -> tuple[list[int], list[list[int]]]:

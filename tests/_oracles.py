@@ -12,6 +12,7 @@ from k3lattices.clifford import (
     _anti_fixed_basis,
     left_mul_matrix,
     reversal,
+    trace_of_left_mul,
 )
 from k3lattices.lattices import Isometry, Lattice, discriminant_group, orthogonal_complement, sublattice_embedding
 from k3lattices.linalg import (
@@ -209,6 +210,12 @@ def phi_gram_oracle(a: CliffordElement, traces: dict | None = None) -> IntMatrix
     basis = [CliffordElement(host, {m: 1}) for m in range(1 << host.rank)]
     rev = [reversal(b) for b in basis]
     return IntMatrix([[trace(r * b * a) for b in basis] for r in rev])
+
+
+def phi_a_oracle(x: CliffordElement, y: CliffordElement, a: CliffordElement) -> int:
+    """Tr(reversal(x) * y * a): x reversed by remultiplication, two full
+    products, and the closed-form trace of the result."""
+    return trace_of_left_mul(reversal(x) * y * a)
 
 
 def trace_form_by_full_recurrence(host: Lattice) -> list[list[int]]:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from _oracles import (
     find_polarization_oracle,
     mono_trace_by_module_loop,
+    phi_a_oracle,
     phi_gram_oracle,
     polarization_candidates,
     project_endo_by_dense_loop,
@@ -33,7 +34,7 @@ from k3lattices.clifford import (
     trace_pairing_identity,
 )
 from k3lattices.lattices import Lattice, direct_sum, e8, hyperbolic_u, k3_lattice, rank_one
-from k3lattices.linalg import IntMatrix, det_exact, det_mod
+from k3lattices.linalg import IntMatrix, det_exact
 
 I1 = rank_one(1)
 I2 = direct_sum(rank_one(1), rank_one(1))
@@ -308,29 +309,66 @@ def test_phi_gram_matches_dense_product_rank_seven():
         assert phi_gram(a) == IntMatrix([[sum(c * row[k] for k, c in col) for col in cols] for row in b])
 
 
-def test_nonsingular_screen_matches_det_exact():
-    # the parity-block test on R_a (as its transpose) and on phi_gram(a),
-    # against det_exact of the whole matrix, for even, odd and mixed a
-    rng = random.Random(61)
-    hosts = [U, I2, direct_sum(U, rank_one(1)), e8_sublattice_rank4(),
-             Lattice(3, IntMatrix([[0, 1, 1], [1, 0, 1], [1, 1, 0]])),
-             Lattice(3, IntMatrix([[1, 1, 0], [1, 1, 0], [0, 0, 2]]))]
+def _blade_masks(n):
+    """The masks S with |S| = 2, then 3, in increasing order."""
+    return [m for k in (2, 3) for m in range(1 << n) if bin(m).count("1") == k]
+
+
+def _minor(host, mask):
+    idx = [i for i in range(host.rank) if mask >> i & 1]
+    return det_exact(IntMatrix([[host.gram[i, j] for j in idx] for i in idx]))
+
+
+def test_closed_form_determinants_match_det_exact():
+    # det B' = 2^(n 2^n) det(G)^(2^(n-1)), and det phi_gram(a) = det B' det R_a
+    # with det R_a = +-c^(2^(n-1)) when a^2 = c, for every |S| = 2, 3
+    # candidate a: the whole certificate of `find_polarization_element`
+    rng = random.Random(89)
     seen = set()
-    for host in hosts:
-        dim = 1 << host.rank
-        for _ in range(16):
-            a = random_element(rng, host, terms=rng.randint(1, 2), bound=2)
-            products = [(CliffordElement(host, {j: 1}) * a).coeffs for j in range(dim)]
-            rows = [[e.get(k, 0) for k in range(dim)] for e in products]  # rows of R_a^T
-            unit = det_exact(IntMatrix(rows)) != 0
-            assert clifford._nonsingular(rows, a)[0] == unit
-            g = phi_gram(a)
-            assert clifford._nonsingular(g.tolists(), a)[0] == (det_exact(g) != 0)
-            seen.add((frozenset(bin(m).count("1") % 2 for m in a.coeffs), unit))
-    assert {(frozenset({0}), True), (frozenset({1}), True), (frozenset({0, 1}), True),
-            (frozenset({0}), False), (frozenset({1}), False)} <= seen
-    # a matrix off the parity pattern of its element is tested whole
-    assert clifford._nonsingular([[0, 1], [1, 0]], CliffordElement.scalar(I1, 1)) == (True, 1)
+    for n in range(1, 6):
+        for kind in ("general", "singular", "degenerate-plane")[:n]:
+            host = _seeded_host(rng, n, kind)
+            dim, half = 1 << n, 1 << n - 1
+            det_b = det_exact(IntMatrix(clifford._algebra(host).trace_form()))
+            assert det_b == 2 ** (n * dim) * det_exact(host.gram) ** half
+            basis, candidates = polarization_candidates(host, max_support=1)
+            for a in candidates[:4 * len(_blade_masks(n))]:
+                square = (a * a).coeffs
+                assert set(square) <= {0}
+                c = square.get(0, 0)
+                assert abs(det_exact(phi_gram(a))) == abs(det_b) * abs(c) ** half
+                seen.add((det_b != 0, c != 0))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_search_accepts_the_first_blade_with_a_nonzero_square(monkeypatch):
+    # for |S| = 2, 3 the basis element w_S is the blade on S, of square
+    # -det G_S; the search takes the first S whose minor is nonzero, at
+    # coefficient 1, after the four multiples of each earlier blade, and
+    # builds that one phi-Gram
+    built = []
+
+    def counted(a):
+        built.append(a)
+        return phi_gram(a)
+
+    monkeypatch.setattr(clifford, "phi_gram", counted)
+    rng = random.Random(79)
+    for n, kind in ((2, "general"), (3, "general"), (4, "degenerate-plane"), (5, "degenerate-plane"),
+                    (6, "general"), (6, "degenerate-plane")):
+        host = _seeded_host(rng, n, kind)
+        masks = _blade_masks(n)
+        basis, _ = polarization_candidates(host, max_support=1)
+        minors = [_minor(host, m) for m in masks]
+        for w, minor in zip(basis, minors):
+            assert w * w == CliffordElement.scalar(host, -minor)
+        first = next(i for i, minor in enumerate(minors) if minor)
+        built.clear()
+        pol = find_polarization_element(host)
+        assert (pol.element, pol.candidates_tried) == (basis[first], 4 * first + 1)
+        assert built == [pol.element]
+        if kind == "degenerate-plane":
+            assert first >= 1
 
 
 def _seeded_host(rng, n, kind):
@@ -378,20 +416,38 @@ def test_find_polarization_matches_oracle():
             assert pol.candidates_tried == 5
 
 
-def test_find_polarization_rank_eight():
-    # diagonal in {-2, 2, 4}, off-diagonal in {0, 1, -1}; the 256 x 256
-    # phi-Gram whose det_exact alone used to take seconds is built once
+def _rank_test_host(n):
+    """Diagonal in {-2, 2, 4}, off-diagonal in {0, 1, -1}, drawn by Random(3)."""
     rng = random.Random(3)
-    g = [[0] * 8 for _ in range(8)]
-    for i in range(8):
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
         g[i][i] = rng.choice((-2, 2, 4))
-        for j in range(i + 1, 8):
+        for j in range(i + 1, n):
             g[i][j] = g[j][i] = rng.choice((0, 1, -1))
-    host = Lattice(8, IntMatrix(g))
+    return Lattice(n, IntMatrix(g))
+
+
+def test_find_polarization_rank_eight():
+    # the 256 x 256 phi-Gram is built once, and nothing eliminates it: it is
+    # nondegenerate because det G != 0 and a^2 = 9 is a nonzero scalar (see
+    # test_closed_form_determinants_match_det_exact)
+    host = _rank_test_host(8)
     pol = find_polarization_element(host)
     assert pol.element == CliffordElement(host, {0: 1, 3: 1})
     assert pol.candidates_tried == 1 and pol.gram.rows == 256
-    assert pol.is_alternating() and det_mod(pol.gram.tolists(), (1 << 61) - 1) != 0
+    assert pol.is_alternating() and pol.gram == phi_gram(pol.element)
+    assert host.is_nondegenerate() and pol.element * pol.element == CliffordElement.scalar(host, 9)
+
+
+def test_find_polarization_rank_nine_and_the_cap():
+    # rank 9 is inside PHI_RANK_CAP = MATRIX_RANK_CAP = 10; rank 11 is not
+    host = _rank_test_host(9)
+    pol = find_polarization_element(host)
+    assert pol.element == CliffordElement(host, {0: 1, 3: 1})
+    assert pol.candidates_tried == 1 and pol.gram.rows == 512 and pol.is_alternating()
+    assert host.is_nondegenerate() and pol.element * pol.element == CliffordElement.scalar(host, -3)
+    with pytest.raises(ValueError, match="exceeds the phi-gram cap 10"):
+        find_polarization_element(direct_sum(*(rank_one(1) for _ in range(11))))
 
 
 def test_square_certificate_matches_det_r_a():
@@ -420,47 +476,23 @@ def test_square_certificate_matches_det_r_a():
     assert seen == {(False, True), (False, False), (True, True), (True, False)}
 
 
-def test_search_eliminates_only_the_accepted_phi_gram(monkeypatch):
-    # on a degenerate-plane host the four rejected candidates square to 0,
-    # so only the accepted candidate's phi-Gram is eliminated, by det_mod alone
-    host = _seeded_host(random.Random(79), 5, "degenerate-plane")
-    calls = []
-    nonsingular = clifford._nonsingular
-
-    def counted(rows, a):
-        calls.append([list(row) for row in rows])
-        return nonsingular(rows, a)
-
-    def no_det_exact(m):
-        raise AssertionError("det_exact ran")
-
-    monkeypatch.setattr(clifford, "_nonsingular", counted)
-    monkeypatch.setattr(clifford, "det_exact", no_det_exact)
-    pol = find_polarization_element(host)
-    assert pol.candidates_tried == 5
-    assert calls == [pol.gram.tolists()]
-    assert pol.eliminations == 2
-
-
 def test_polarization_counters_and_table_sizes():
     host = direct_sum(U, rank_one(1))
     pol = find_polarization_element(host)
     assert pol.candidates_tried == 1
     sizes = clifford._algebra(host).table_sizes()
     assert sizes["trace_form_rows"] == 8
-    # the search reads 21 of the 8 * 3 products e_mask e_j: the trace form's
+    # the search reads 20 of the 8 * 3 products e_mask e_j.  The trace form's
     # row I reads e_K e_i (i the top index of I) only for K >= I and copies
     # B'[K][I] for K < I, so e_0 e_2, e_1 e_2 and e_0 e_1 e_2 (the rows I >= 4
-    # at K = 1, 2, 3) are never read; the first row reads the Pfaffian of every mask
-    assert sizes["generator_products"] == 21
+    # at K = 1, 2, 3) are never read; its first row is Pfaffians only.  The
+    # search reverses no monomial but the accepted blade e_0 e_1, and the
+    # products e_J a, a = e_0 e_1 - 1, step by e_0 and e_1 only, so 1 * e_2 is
+    # not read either
+    assert sizes["generator_products"] == 20
     assert sizes["pfaffians"] == 8
-    # the defaults keep the dataclass constructible from element and Gram alone
+    # the default keeps the dataclass constructible from element and Gram alone
     assert clifford.PolarizationElement(pol.element, pol.gram).candidates_tried == 0
-    assert clifford.PolarizationElement(pol.element, pol.gram, 1).eliminations == 0
-    # a general rank-5 host: the first candidate passes on its square, and
-    # its phi-Gram is eliminated as two parity blocks
-    general = find_polarization_element(_seeded_host(random.Random(83), 5, "general"))
-    assert (general.candidates_tried, general.eliminations) == (1, 2)
 
 
 def test_algebra_tables_freed_with_hosts():
@@ -484,6 +516,34 @@ def test_algebra_tables_freed_with_hosts():
     gc.collect()
     assert all(r() is None for r in refs)
     assert len(clifford._algebras) == before
+
+
+def test_phi_a_matches_oracle_on_both_routes():
+    # warm: read from the trace form that find_polarization_element built;
+    # fresh: generator steps and Pfaffians, with no trace form built
+    rng = random.Random(97)
+    for n in range(1, 8):
+        warm, fresh = _seeded_host(rng, n, "general"), _seeded_host(rng, n, "general")
+        if n > 1:
+            warm_a = find_polarization_element(warm).element
+        else:
+            warm_a = random_element(rng, warm)
+            clifford._algebra(warm).trace_form()
+        for host, a in ((warm, warm_a), (fresh, random_element(rng, fresh))):
+            for _ in range(10):
+                x, y = random_element(rng, host), random_element(rng, host)
+                assert phi_a(x, y, a) == phi_a_oracle(x, y, a)
+        assert clifford._algebra(warm).table_sizes()["trace_form_rows"] == 1 << n
+        assert clifford._algebra(fresh).table_sizes()["trace_form_rows"] == 0
+
+
+def test_phi_a_on_the_k3_lattice_builds_no_trace_form():
+    host = k3_lattice()
+    a = CliffordElement(host, {0: -host.gram[0, 1], 0b11: 1})  # the blade e_0 ^ e_1
+    x = CliffordElement(host, {0: 2, 1 << 3: -1, 1 << 5 | 1 << 21: 3})
+    y = CliffordElement(host, {1 << 21: 1, 0b110: 2, 1 << 7 | 1 << 8 | 1 << 20: -1})
+    assert phi_a(x, y, a) == phi_a_oracle(x, y, a) == -phi_a(y, x, a)
+    assert clifford._algebra(host).table_sizes()["trace_form_rows"] == 0
 
 
 def test_phi_gspin_scaling_law():

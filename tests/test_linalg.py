@@ -12,7 +12,6 @@ from k3lattices.linalg import (
     bezout_combination,
     content,
     det_exact,
-    det_mod,
     ldlt,
     lll_reduce_gram,
     rational_inverse,
@@ -185,45 +184,6 @@ def test_det_random_vs_oracle():
         n = rng.randint(1, 5)
         m = random_matrix(rng, n, n)
         assert det_exact(m) == det_oracle(m)
-
-
-def test_det_mod_vs_oracle():
-    # small primes make zero pivots modulo p common; every third matrix is singular
-    rng = random.Random(12)
-    for t in range(120):
-        n = rng.randint(1, 5)
-        rows = random_matrix(rng, n, n).tolists()
-        if t % 3 == 0 and n > 1:
-            rows[-1] = [a - 2 * b for a, b in zip(rows[0], rows[1 % (n - 1)])]
-        for p in (2, 7, 101, (1 << 61) - 1):
-            assert det_mod(rows, p) == det_oracle(IntMatrix(rows)) % p
-    assert det_mod([], 7) == 1
-
-
-def test_det_mod_matches_det_exact_across_many_slots():
-    # rows pack into many slots here: entries far beyond p and negative ones,
-    # zero leading columns that force row swaps, and dependent rows
-    rng = random.Random(14)
-    primes = (2, 3, 7, 101, (1 << 31) - 1, (1 << 61) - 1, (1 << 89) - 1)
-    for t in range(60):
-        n = rng.randint(1, 24)
-        bound = rng.choice((1, 5, 10 ** 12, 10 ** 40))
-        rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
-        if t % 4 == 1:
-            for row in rows[:n // 2 + 1]:
-                row[0] = 0
-        if t % 4 == 2 and n > 2:
-            rows[rng.randrange(2, n)] = [3 * a - b for a, b in zip(rows[0], rows[1])]
-        det = det_exact(IntMatrix(rows))
-        if t % 4 == 2 and n > 2:
-            assert det == 0
-        for p in primes:
-            assert det_mod(rows, p) == det % p
-    # a pivot that is zero mod p in the first column, and one a step later
-    assert det_mod([[7, 1], [3, 0]], 7) == -3 % 7
-    assert det_mod([[1, 2, 3], [2, 4, 5], [1, 0, 0]], 101) == -2 % 101
-    for p in primes:
-        assert det_mod([], p) == 1
 
 
 def test_det_congruence_invariant():
