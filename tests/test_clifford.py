@@ -452,7 +452,7 @@ def test_find_polarization_rank_nine_and_the_cap():
 
 def test_square_certificate_matches_det_r_a():
     # if a^2 is a scalar c, then R_a^2 = c I, and det R_a != 0 exactly when
-    # c != 0; checked on the first 40 candidates in search order, which
+    # c != 0; checked on the first 40 of `polarization_candidates`, which
     # reach the sums of two basis elements on rank 3.  det R_{ka} = k^dim
     # det R_a, so det_exact runs once per candidate up to scaling.
     rng = random.Random(73)
