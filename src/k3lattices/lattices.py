@@ -11,12 +11,13 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, prod
 from operator import mul
 from typing import Sequence
 
 from .linalg import (
     IntMatrix,
+    _smith_mod,
     bezout_combination,
     content,
     det_exact,
@@ -90,7 +91,9 @@ class LatticeEmbedding:
 
     `induced` is B^T G B for B = `matrix`, when the caller has already formed
     it (as `sublattice_embedding` does for the source Gram); otherwise it is
-    computed here.  Either way it must equal the source Gram.
+    computed here.  Either way it must equal the source Gram.  A nonsingular
+    source Gram B^T G B already proves the columns independent; only a
+    degenerate source needs det(B^T B) != 0.
     """
 
     source: Lattice
@@ -106,7 +109,7 @@ class LatticeEmbedding:
             induced = bt @ (self.target.gram @ self.matrix)
         if induced != self.source.gram:
             raise ValueError("matrix does not preserve the pairing")
-        if det_exact(bt @ self.matrix) == 0:
+        if not self.source.det() and det_exact(bt @ self.matrix) == 0:
             raise ValueError("embedding columns are linearly dependent")
 
 
@@ -236,21 +239,27 @@ def big_l() -> Lattice:
 def discriminant_group(n: Lattice) -> DiscriminantForm:
     """Invariant factors and the torsion form of N^vee / N.
 
-    With u G v = d in Smith form, the class of u^{-1} e_i generates a Z/d_i
-    component of Z^r / G Z^r; pulling back through G gives the rational lift
-    G^{-1} u^{-1} e_i = v d^{-1} e_i = v_i / d_i in N^vee, whose pairings mod 1
-    (norms mod 2, or mod 1 for odd N) are the discriminant form.
+    N^vee / N is Z^r / G Z^r through x -> G x, and D = |det G| kills it, so
+    Smith data modulo M = D^2 suffices.  `_smith_mod` gives U G V = diag(delta)
+    + M Y with U, V invertible mod M and d_t = gcd(delta_t, M); since D Z^r
+    lies in G Z^r, Z^r / G Z^r = (Z/M)^r / G (Z/M)^r is the sum of the Z/d_t
+    generated by the classes of U^{-1} e_t, and the d_t > 1 are its invariant
+    factors, of product D.  The lift of generator t is x_t = w_t / d_t, w_t
+    column t of V mod d_t: G V e_t = delta_t U^{-1} e_t + M y, so G x_t is
+    integral and its class is (delta_t / d_t) [U^{-1} e_t] + (M / d_t) [y].
+    D divides M / d_t, so the last term vanishes, and delta_t / d_t is prime
+    to d_t (every prime of d_t divides M / d_t), so x_t has order d_t and the
+    x_t generate.  Pairings of the lifts mod 1 (norms mod 2, or mod 1 for
+    odd N) are the discriminant form.
     """
     if not n.is_nondegenerate():
         raise ValueError("discriminant group needs a nondegenerate gram")
-    snf = smith_normal_form(n.gram)
-    factors: list[int] = []
-    columns: list[tuple[int, ...]] = []
-    for i in range(n.rank):
-        di = snf.d[i, i]
-        if di > 1:
-            factors.append(di)
-            columns.append(snf.v.column(i))
+    disc = n.disc()
+    diag, v = _smith_mod(n.gram, disc * disc, transform=True)
+    factors = [dt for dt in diag if dt > 1]
+    columns = [tuple(x % dt for x in col) for dt, col in zip(diag, v) if dt > 1]
+    if prod(factors) != disc:
+        raise AssertionError(f"invariant factors {factors} do not multiply to |det| = {disc}")
     gens = tuple(tuple(Fraction(x, di) for x in col) for col, di in zip(columns, factors))
 
     def pair(i, j):
@@ -291,8 +300,16 @@ def saturate(sub: LatticeEmbedding) -> LatticeEmbedding:
 
 
 def is_primitive(sub: LatticeEmbedding) -> bool:
-    """True iff the cokernel of the embedding matrix is torsion-free."""
-    return all(f == 1 for f in smith_normal_form(sub.matrix).invariant_factors())
+    """True iff the cokernel of the embedding matrix B is torsion-free.
+
+    The torsion of Z^n / B Z^k has order d_1 ... d_k, the gcd of the k x k
+    minors of B.  By Cauchy-Binet its square divides D = det(B^T G B), the
+    source's determinant, and also det(B^T B) != 0, which serves for a
+    degenerate source.  So every d_t divides D, and the embedding is
+    primitive iff every gcd(d_t, D) is 1, Smith data modulo D.
+    """
+    d = sub.source.disc() or abs(det_exact(sub.matrix.transpose() @ sub.matrix))
+    return d == 1 or all(f == 1 for f in _smith_mod(sub.matrix, d)[0])
 
 
 def orthogonal_complement(sub: LatticeEmbedding) -> LatticeEmbedding:

@@ -4,10 +4,14 @@ Every elimination is fraction-free (Bareiss, Math. Comp. 22, 1968): the
 entries stay integer minors, so each division is exact.  One symmetric pass
 serves LDL^T and Sylvester signatures; determinants and the Gauss-Jordan
 inverse (integer numerators over one determinant, wrapped as a `RatMatrix`)
-use the same update.  Smith normal form with transforms serves where Smith
-data is the answer, as for saturated kernels.  Integral LLL builds on LDL^T.
-Products skip the zeros of the left factor (each product row is a sum of
-rows of the right factor) and build no transpose.
+use the same update.  A determinant first splits the matrix into the blocks
+of its nonzero pattern, so an orthogonal sum costs one Bareiss pass per
+summand.  Smith normal form with transforms serves where Smith data is the
+answer, as for saturated kernels; where only the invariant factors are needed
+and a multiple of the torsion is known (discriminant groups, primitivity),
+they are computed modulo that multiple, so no entry outgrows it.  Integral
+LLL builds on LDL^T.  Products skip the zeros of the left factor (each
+product row is a sum of rows of the right factor) and build no transpose.
 """
 
 from __future__ import annotations
@@ -268,14 +272,176 @@ def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
     return SnfDecomposition(IntMatrix(u), IntMatrix(a, cols=ncols), IntMatrix(v))
 
 
+def _smith_mod(m: IntMatrix, modulus: int, transform: bool = False) -> tuple[list[int], list[list[int]] | None]:
+    """Smith invariants of m over Z/modulus: ([gcd(d_t, modulus)], V or None).
+
+    d_1 | d_2 | ... are the invariant factors of m (0 past its rank), one for
+    each t < min(rows, cols).  Cohen, GTM 138, Alg. 2.4.14: entries live mod
+    modulus, and each pivot clears its row and column by 2x2 Bezout steps,
+    or by plain subtraction where it divides the entry.  A unit pivot is
+    scaled to 1 and needs nothing else; otherwise, once its row and column
+    are clear, a trailing entry that gcd(pivot, modulus) does not divide is
+    added into the pivot row.  It terminates: each Bezout step leaves a
+    proper divisor of the pivot, and each repair lowers gcd(pivot, modulus).
+    Row steps and the scaling are invertible mod modulus and are not kept;
+    with `transform`, V is kept as its list of columns mod modulus, and
+    U m V = diag(delta) mod modulus with gcd(delta_t, modulus) the returned
+    values, for some U invertible mod modulus.
+    """
+    nrows, ncols = m.rows, m.cols
+    a = [[x % modulus for x in row] for row in m._entries]
+    vt = [[int(i == j) for j in range(ncols)] for i in range(ncols)] if transform else None
+    diag: list[int] = []
+    for t in range(min(nrows, ncols)):
+        # pivot: the first unit of the active block, else an entry of least gcd with the modulus
+        best, where = modulus, None
+        for i in range(t, nrows):
+            row = a[i]
+            for j in range(t, ncols):
+                g = gcd(row[j], modulus) if row[j] else modulus
+                if g < best:
+                    best, where = g, (i, j)
+                    if g == 1:
+                        break
+            if best == 1:
+                break
+        if where is None:  # the active block is 0 mod modulus
+            diag += [modulus] * (min(nrows, ncols) - t)
+            break
+        i, j = where
+        a[t], a[i] = a[i], a[t]
+        if j != t:
+            for row in a[t:]:
+                row[t], row[j] = row[j], row[t]
+            if vt is not None:
+                vt[t], vt[j] = vt[j], vt[t]
+        p = a[t][t]
+        if best == 1:
+            # row t times p^-1 has pivot 1; column steps then change only V and row t, which is done
+            inv = pow(p, -1, modulus)
+            prow = [x * inv % modulus for x in a[t]]
+            for i in range(t + 1, nrows):
+                x = a[i][t]
+                if x:
+                    a[i] = [(y - x * z) % modulus for y, z in zip(a[i], prow)]
+            if vt is not None:
+                for j in range(t + 1, ncols):
+                    x = prow[j]
+                    if x:
+                        vt[j] = [(y - x * z) % modulus for y, z in zip(vt[j], vt[t])]
+            diag.append(1)
+            continue
+        while True:
+            for i in range(t + 1, nrows):
+                x = a[i][t]
+                if x:
+                    s, c, e, f = _clearing_step(p, x)
+                    a[t], a[i] = _mix(a[t], a[i], s, c, e, f, modulus)
+                    p = a[t][t]
+            settled = True
+            for j in range(t + 1, ncols):
+                x = a[t][j]
+                if x:
+                    s, c, e, f = _clearing_step(p, x)
+                    for row in a[t:]:
+                        y, z = row[t], row[j]
+                        row[t], row[j] = (s * y + c * z) % modulus, (e * y + f * z) % modulus
+                    if vt is not None:
+                        vt[t], vt[j] = _mix(vt[t], vt[j], s, c, e, f, modulus)
+                    settled = settled and a[t][t] == p
+                    p = a[t][t]
+            if not settled:  # a Bezout column step refilled column t
+                continue
+            g = gcd(p, modulus)
+            bad = next((row for row in a[t + 1:] if any(x % g for x in row[t + 1:])), None) if g > 1 else None
+            if bad is None:
+                break
+            a[t] = [(y + z) % modulus for y, z in zip(a[t], bad)]
+        diag.append(g)
+    return diag, vt
+
+
+def _clearing_step(p: int, x: int) -> tuple[int, int, int, int]:
+    """(s, c, e, f) with det [[s, c], [e, f]] = +-1 and s p + c x = gcd(p, x), e p + f x = 0.
+
+    Plain subtraction when p divides x: `_xgcd(p, p)` is (p, 0, 1), a swap
+    that would never settle.
+    """
+    if x % p == 0:
+        return 1, 0, -(x // p), 1
+    g, s, c = _xgcd(p, x)
+    return s, c, x // g, -(p // g)
+
+
+def _mix(u: list[int], w: list[int], s: int, c: int, e: int, f: int, modulus: int) -> tuple[list[int], list[int]]:
+    """(s u + c w, e u + f w), entrywise mod modulus."""
+    return ([(s * y + c * z) % modulus for y, z in zip(u, w)],
+            [(e * y + f * z) % modulus for y, z in zip(u, w)])
+
+
 def det_exact(m: IntMatrix) -> int:
-    """Exact determinant by Bareiss fraction-free elimination."""
+    """Exact determinant, by Bareiss fraction-free elimination on each block.
+
+    Rows and columns that share a nonzero entry fall in one block.  Listing
+    the rows and the columns block by block makes the matrix block diagonal,
+    so det = sgn(row order) sgn(column order) prod det(block); a block with
+    more rows than columns (a zero row, say) makes it 0.  A matrix that is
+    one block runs Bareiss as it stands; up to 3 x 3, the cofactor formula.
+    """
     if not m.is_square():
         raise ValueError("determinant of non-square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = m.tolists()
+    rows = m._entries
+    n = len(rows)
+    if n <= 1:
+        return rows[0][0] if n else 1
+    if n == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, k) = rows
+        return a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g)
+    blocks: list[list] = []  # [column mask, row indices]
+    for i, row in enumerate(rows):
+        mask = sum(1 << j for j, x in enumerate(row) if x)
+        if not mask:
+            return 0
+        joined, rest = [mask, [i]], []
+        for block in blocks:
+            if block[0] & mask:
+                joined = [joined[0] | block[0], block[1] + joined[1]]
+            else:
+                rest.append(block)
+        if joined[0] == (1 << n) - 1:  # every later row joins this block: there is only one
+            return _bareiss(m.tolists())
+        blocks = rest + [joined]
+    det, row_order, col_order = 1, [], []
+    for mask, idx in sorted(blocks, key=lambda b: min(b[1])):
+        cols = [j for j in range(n) if mask >> j & 1]
+        if len(cols) != len(idx):
+            return 0
+        idx.sort()
+        det *= _bareiss([[rows[i][j] for j in cols] for i in idx])
+        row_order += idx
+        col_order += cols
+    return _perm_sign(row_order) * _perm_sign(col_order) * det
+
+
+def _perm_sign(perm: list[int]) -> int:
+    """Sign of the permutation i -> perm[i]: -1 for each element past the first of a cycle."""
+    sign, seen = 1, [False] * len(perm)
+    for i in range(len(perm)):
+        j = perm[i]
+        seen[i] = True
+        while not seen[j]:
+            seen[j] = True
+            sign = -sign
+            j = perm[j]
+    return sign
+
+
+def _bareiss(a: list[list[int]]) -> int:
+    """Determinant of the square matrix a (rows, overwritten) by Bareiss elimination."""
+    n = len(a)
     sign = 1
     prev = 1
     for k in range(n - 1):

@@ -163,6 +163,29 @@ def discriminant_lifts_by_inverse(lat: Lattice) -> tuple:
                  for i in range(lat.rank) if snf.d[i, i] > 1)
 
 
+def det_by_bareiss(m: IntMatrix) -> int:
+    """Determinant by one Bareiss pass over the whole matrix, with no split
+    into blocks: a zero pivot is swapped with the first nonzero entry below
+    it, and each swap flips the sign."""
+    n = m.rows
+    if n == 0:
+        return 1
+    a = m.tolists()
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            p = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if p is None:
+                return 0
+            a[k], a[p] = a[p], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
 def disc_kernel_by_fractions(g: Isometry) -> bool:
     """Whether g fixes every discriminant class, with g gen - gen computed in
     Fractions for each rational generator lift and tested for integrality."""

@@ -232,6 +232,17 @@ def test_big_int_string_rendering(tmp_path):
     assert json.loads(out)["gram"][0][0] == big
 
 
+def test_lattice_info_on_a_dense_six_by_six_gram(tmp_path):
+    # unreduced Kannan-Bachem Smith form never returns on this Gram
+    gram = [[-9, -3, -4, 9, 5, -4], [-3, -2, -4, -8, 6, -2], [-4, -4, -4, -8, -5, -6],
+            [9, -8, -8, 1, -4, 6], [5, 6, -5, -4, -3, 8], [-4, -2, -6, 6, 8, -8]]
+    path = tmp_path / "lat.json"
+    path.write_text(json.dumps({"rank": 6, "gram": gram}))
+    code, out = run_cli(["lattice", "info", "--file", str(path)])
+    assert code == 0
+    assert out == '{"disc":1698912,"disc_group":[3,566304],"rank":6,"signature":[2,4,0]}\n'
+
+
 @pytest.mark.parametrize("argv, stdin_text", [
     (["lattice", "info"], '{"rank":2,"gram":5}'),
     (["lattice", "info"], "[1,2]"),

@@ -1,12 +1,17 @@
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product
+from math import lcm
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import disc_kernel_by_fractions, discriminant_lifts_by_inverse
+from k3lattices import lattices as lattices_module
 from k3lattices.lattices import (
     HyperbolicPairs,
     Isometry,
@@ -144,11 +149,60 @@ def test_disc_group_form_structure():
             assert any(x.denominator > 1 for x in gen)
 
 
-def test_disc_group_lifts_match_inverse_oracle():
+def _classes_spanned(gens, orders, rank):
+    """Classes mod Z^rank of the sums of k_t gen_t with 0 <= k_t < order_t."""
+    classes = {(Fraction(0),) * rank}
+    for gen, order in zip(gens, orders):
+        classes = {tuple((x + k * y) % 1 for x, y in zip(c, gen)) for c in classes for k in range(order)}
+    return classes
+
+
+def test_disc_group_lifts_generate_the_group():
+    """The lifts lie in N^vee with exact orders d_t and span |det G| classes,
+    among them the class of every Smith-transform lift G^-1 u^-1 e_i; the
+    form is their pairings, recomputed in Fractions."""
     lattices = [l_d(d) for d in range(1, 31)]
     lattices += [Lattice(g.rows, g) for g in _random_definite_grams(92, 40)]
     for lat in lattices:
-        assert discriminant_group(lat).generators == discriminant_lifts_by_inverse(lat)
+        disc = discriminant_group(lat)
+        gram = RatMatrix.from_int(lat.gram)
+        images = [gram.apply(gen) for gen in disc.generators]
+        for order, gen, image in zip(disc.invariant_factors, disc.generators, images):
+            assert all(x.denominator == 1 for x in image)
+            assert lcm(*(x.denominator for x in gen)) == order
+        classes = _classes_spanned(disc.generators, disc.invariant_factors, lat.rank)
+        assert len(classes) == lat.disc()
+        for lift in discriminant_lifts_by_inverse(lat):
+            assert tuple(x % 1 for x in lift) in classes
+        pairs = [[sum(map(mul, x, image)) for image in images] for x in disc.generators]
+        assert disc.bilinear == tuple(tuple(p % 1 for p in row) for row in pairs)
+        norm_mod = 2 if lat.is_even() else 1
+        assert disc.quadratic == tuple(pairs[i][i] % norm_mod for i in range(len(pairs)))
+
+
+def _random_nonsingular_grams(seed, count):
+    """Symmetric, rank 1-7, entries -9..9, det != 0."""
+    rng = random.Random(seed)
+    while count:
+        n = rng.randint(1, 7)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = rng.randint(-9, 9)
+        if det_exact(IntMatrix(rows)):
+            count -= 1
+            yield IntMatrix(rows)
+
+
+def test_disc_group_invariant_factors_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_decomp
+
+    for g in _random_nonsingular_grams(2024, 150):
+        d, s, t = smith_normal_decomp(sympy.Matrix(g.tolists()), domain=sympy.ZZ)
+        assert s * sympy.Matrix(g.tolists()) * t == d
+        expected = tuple(abs(int(d[i, i])) for i in range(g.rows) if abs(d[i, i]) > 1)
+        assert discriminant_group(Lattice(g.rows, g)).invariant_factors == expected
 
 
 def _norm_mod(lat, x):
@@ -243,6 +297,21 @@ def test_embedding_rejects_dependent_columns():
             sublattice_embedding(u, cols)
 
 
+def test_embedding_tests_column_independence_only_on_a_degenerate_source(monkeypatch):
+    # B^T G B = source Gram, so det(source) != 0 already proves the columns independent
+    calls = []
+    monkeypatch.setattr(lattices_module, "det_exact", lambda m: calls.append(m.rows) or det_exact(m))
+    u = hyperbolic_u()
+    sublattice_embedding(direct_sum(u, u), [(1, 1, 0, 0), (0, 0, 1, 1), (1, 0, 0, 0), (0, 0, 1, 0)])
+    assert calls == [4]  # the source's own determinant, cached on it
+    calls.clear()
+    isotropic = sublattice_embedding(direct_sum(u, u), [(1, 0, 0, 0), (0, 0, 1, 0)])
+    assert isotropic.source.gram == IntMatrix.zero(2, 2)
+    assert calls == [2, 2]  # det(source) = 0, then det(B^T B) = 1
+    with pytest.raises(ValueError, match="linearly dependent"):
+        sublattice_embedding(direct_sum(u, u), [(1, 0, 0, 0), (0, 0, 1, 0), (1, 0, -1, 0)])
+
+
 def test_embedding_rejects_columns_of_wrong_length():
     u = hyperbolic_u()
     for cols in ([(1, 0, 5), (0, 1)], [(0, 1), (1,)], [(1, 0, 0), (0, 1, 0)], [(1,), (0,)], [(1, 0, 0)]):
@@ -266,6 +335,34 @@ def test_is_primitive_examples():
     u = hyperbolic_u()
     assert is_primitive(sublattice_embedding(u, [(1, 0)]))
     assert not is_primitive(sublattice_embedding(u, [(2, 0)]))
+
+
+def test_is_primitive_matches_smith_form():
+    """Seeded embeddings in U + U + E8, some with a degenerate source (an
+    isotropic first column orthogonal to the others), some with a column
+    scaled by 2 or 3, against the invariant factors of `smith_normal_form`."""
+    rng = random.Random(61)
+    amb = direct_sum(hyperbolic_u(), hyperbolic_u(), e8())
+    seen = Counter()
+    for _ in range(300):
+        k = rng.randint(1, 4)
+        cols = [[rng.randint(-2, 2) for _ in range(12)] for _ in range(k)]
+        if rng.random() < 0.3:
+            # a e + b e' for the isotropic e, e' of the two U; its pairings read coordinates 1 and 3
+            cols[0] = [rng.randint(-3, 3), 0, rng.randint(-3, 3), 0] + [0] * 8
+            for col in cols[1:]:
+                col[1] = col[3] = 0
+        if rng.random() < 0.4:
+            j, factor = rng.randrange(k), rng.choice((2, 3))
+            cols[j] = [factor * x for x in cols[j]]
+        mat = IntMatrix.from_columns([tuple(c) for c in cols], 12)
+        if rational_kernel(mat):
+            continue  # linearly dependent draw
+        sub = sublattice_embedding(amb, cols)
+        expected = all(f == 1 for f in smith_normal_form(mat).invariant_factors())
+        assert is_primitive(sub) == expected
+        seen[sub.source.is_nondegenerate(), expected] += 1
+    assert all(seen[key] >= 10 for key in product((True, False), repeat=2)), seen
 
 
 def test_orthogonal_complement_in_u():

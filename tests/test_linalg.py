@@ -1,11 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import gram_schmidt_oracle, matmul_oracle
+from _oracles import det_by_bareiss, gram_schmidt_oracle, matmul_oracle
 from k3lattices.lattices import big_l, k3_lattice, l_d
 from k3lattices.linalg import (
     IntMatrix,
@@ -199,6 +200,49 @@ def test_det_congruence_invariant():
 def test_det_non_square_rejected():
     with pytest.raises(ValueError):
         det_exact(IntMatrix([[1, 2]]))
+
+
+def _odd(perm):
+    return sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:]) % 2 == 1
+
+
+def test_det_by_blocks_matches_one_bareiss_pass():
+    """Block sums seen under random row and column orders, against a single
+    Bareiss pass: square blocks, blocks with more rows than columns or the
+    reverse, zero rows and zero columns, and odd orders for the sign."""
+    rng = random.Random(17)
+    seen = Counter()
+    for _ in range(600):
+        shapes = []
+        for _ in range(rng.randint(1, 4)):
+            r = rng.randint(1, 4)
+            shapes.append((r, r) if rng.random() < 0.75 else (r, rng.randint(1, 4)))
+        extra = sum(c for _, c in shapes) - sum(r for r, _ in shapes)
+        if extra:  # zero rows or zero columns square the matrix up
+            shapes.append((max(extra, 0), max(-extra, 0)))
+        elif rng.random() < 0.2:  # one zero row and one zero column
+            shapes += [(1, 0), (0, 1)]
+        n = sum(r for r, _ in shapes)
+        rows = [[0] * n for _ in range(n)]
+        r0 = c0 = 0
+        for r, c in shapes:
+            for i in range(r):
+                for j in range(c):
+                    rows[r0 + i][c0 + j] = rng.choice((-3, -2, -1, 1, 1, 2, 3, 0))
+            r0, c0 = r0 + r, c0 + c
+        rp, cp = list(range(n)), list(range(n))
+        rng.shuffle(rp)
+        rng.shuffle(cp)
+        m = IntMatrix([[rows[i][j] for j in cp] for i in rp])
+        det = det_exact(m)
+        assert det == det_by_bareiss(m), m
+        seen["nonzero" if det else "zero"] += 1
+        seen["non-square block"] += any(r != c for r, c in shapes)
+        seen["zero line"] += any(not r or not c for r, c in shapes)
+        seen["odd order"] += bool(det) and _odd(rp) != _odd(cp)
+        seen["several blocks"] += bool(det) and len(shapes) > 1 and n > 3
+    assert all(seen[key] >= 40 for key in ("nonzero", "zero", "non-square block", "zero line",
+                                           "odd order", "several blocks")), seen
 
 
 # ---------------------------------------------------------------------------
