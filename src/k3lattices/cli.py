@@ -41,7 +41,10 @@ def _emit(args, payload):
 
 
 def _parse_vector(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.replace(" ", "").split(",") if x != "")
+    try:
+        return tuple(int(x) for x in text.replace(" ", "").split(",") if x != "")
+    except ValueError:  # argparse reports it as a usage error, exit code 2
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +135,8 @@ def cmd_roots(args):
 
 def cmd_walls(args):
     lattice = ser.lattice_from_obj(_read_json(args))
-    walls = roots.minus_two_walls_through(lattice, _parse_vector(args.v))
-    _emit(args, {"v": list(_parse_vector(args.v)), "walls": [list(w) for w in walls]})
+    walls = roots.minus_two_walls_through(lattice, args.v)
+    _emit(args, {"v": list(args.v), "walls": [list(w) for w in walls]})
 
 
 def cmd_mindeg(args):
@@ -150,7 +153,7 @@ def cmd_mindeg(args):
 
 def cmd_verify_cert(args):
     lattice = ser.lattice_from_obj(_read_json(args))
-    ok = roots.verify_certificate(lattice, _parse_vector(args.v), args.degree)
+    ok = roots.verify_certificate(lattice, args.v, args.degree)
     _emit(args, {"valid": ok})
     if not ok:
         sys.exit(1)
@@ -280,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_roots.set_defaults(func=cmd_roots)
 
     p_walls = sub.add_parser("walls", help="(-2)-walls orthogonal to v")
-    p_walls.add_argument("--v", required=True)
+    p_walls.add_argument("--v", required=True, type=_parse_vector)
     p_walls.add_argument("--file")
     p_walls.set_defaults(func=cmd_walls)
 
@@ -293,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_min.set_defaults(func=cmd_mindeg)
 
     p_cert = sub.add_parser("verify-cert")
-    p_cert.add_argument("--v", required=True)
+    p_cert.add_argument("--v", required=True, type=_parse_vector)
     p_cert.add_argument("--degree", type=int, required=True)
     p_cert.add_argument("--file")
     p_cert.set_defaults(func=cmd_verify_cert)

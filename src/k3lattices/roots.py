@@ -14,13 +14,16 @@ v-perp.
 squares, into norm shells already in candidate order, and decides them in
 increasing v^2: a candidate orthogonal to a wall that an earlier wall test
 found is rejected by one dot product, and only the others run the wall test,
-which `wall_searches` counts.
+which `wall_searches` counts.  The walk skips a prefix whose completions all
+miss (0, norm_limit] (Fincke-Pohst pruning for an indefinite form on a box):
+each term of v^2 left to add is bounded over the box, so their sum is too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt, lcm
+from operator import mul
 from typing import Sequence
 
 from .lattices import Lattice
@@ -168,39 +171,74 @@ class PolarizationSearchResult:
     candidates: int = 0  # box vectors with 0 < v^2 <= searched_norm_limit
     walls_tested: int = 0  # candidates decided, the hit's own included
     wall_searches: int = 0  # `_walls` enumerations run; the rest met a known wall
+    box_nodes: int = 0  # prefixes the box walk expanded; the rest were pruned
 
 
-def _box_candidates(n: Lattice, norm_limit: int, coeff_box: int) -> list[tuple[int, Vector]]:
+def _box_candidates(n: Lattice, norm_limit: int, coeff_box: int) -> tuple[list[tuple[int, Vector]], int]:
     """All (v^2, v) with |coordinates| <= coeff_box and 0 < v^2 <= norm_limit,
     in candidate order: by v^2, then componentwise with nonnegative entries
-    ranked before negative ones of the same magnitude.
+    ranked before negative ones of the same magnitude; and the count of
+    prefixes the walk expanded.
 
     One depth-first walk over the box carries the square q of the prefix and
-    s = G prefix, so a child costs O(rank) and a leaf O(1):
-    q + t (2 s_i + g_ii t).  Each coordinate runs 0, 1, ..., B, -1, ..., -B,
-    the componentwise order, so the walk meets vectors in that order and
-    each norm shell, filled by appending, is already sorted.
+    s_j = (G prefix)_j for the coordinates j not yet fixed, so a child costs
+    O(rank) and a leaf O(1): q + 2 s_last t + g_ll t^2, the last term from a
+    table.  Each coordinate runs 0, 1, ..., B, -1, ..., -B, the componentwise
+    order, so the walk meets vectors in that order and each norm shell,
+    filled by appending, is already sorted.  Pruning: with coordinates 0..i
+    fixed, v^2 - q = sum_{j>i} (2 s_j t_j + g_jj t_j^2) + 2 sum_{i<j<k} g_jk t_j t_k
+    lies in [lo_i - R, hi_i + R], R = 2B sum_{j>i} |s_j|, because each term is
+    bounded over |t| <= B: hi_i = sum_{j>i} (max(g_jj, 0) B^2 + 2B^2 sum_{k>j} |g_jk|),
+    lo_i the same with min(g_jj, 0) and the cross terms subtracted.  A child
+    with q + hi_i + R <= 0 or q + lo_i - R > norm_limit has no leaf in range
+    and is skipped, so the leaves kept keep their order.
     """
     gram = n.gram.tolists()
-    last = n.rank - 1
-    order = list(range(coeff_box + 1)) + list(range(-1, -coeff_box - 1, -1))
+    last, box = n.rank - 1, coeff_box
+    order = list(range(box + 1)) + list(range(-1, -box - 1, -1))
+    leaf = [(t, gram[last][last] * t * t) for t in order]
+    if not last:  # rank 1: the root is the leaf level, and the stable sort keeps t before -t
+        return sorted([(gt, (t,)) for t, gt in leaf if 0 < gt <= norm_limit], key=lambda c: c[0]), 1
+    hi, lo = [0] * (last + 2), [0] * (last + 2)  # at j: the bounds over the coordinates >= j
+    for j in range(last, -1, -1):
+        cross = 2 * box * box * sum(map(abs, gram[j][j + 1:]))
+        hi[j] = hi[j + 1] + max(gram[j][j], 0) * box * box + cross
+        lo[j] = lo[j + 1] + min(gram[j][j], 0) * box * box - cross
     shells: dict[int, list[tuple[int, Vector]]] = {}  # keyed by v^2: norm_limit may be huge
+    nodes = 1  # the root
 
-    def walk(i: int, prefix: Vector, q: int, s: list[int]) -> None:
-        gii, si = gram[i][i], 2 * s[i]
-        if i == last:
-            for t in order:
-                norm = q + t * (si + gii * t)
-                if 0 < norm <= norm_limit:
-                    shells.setdefault(norm, []).append((norm, prefix + (t,)))
-            return
-        column = gram[i]  # G is symmetric
+    def above_leaves(prefix: Vector, q: int, s: list[int]) -> None:  # s = [s_i, s_last], i = last - 1
+        nonlocal nodes
+        (si, s_last), up, down = s, hi[last], lo[last]
+        gii, g = gram[last - 1][last - 1], gram[last - 1][last]
         for t in order:
-            walk(i + 1, prefix + (t,), q + t * (si + gii * t),
-                 [a + t * b for a, b in zip(s, column)])
+            qt, st = q + t * (2 * si + gii * t), s_last + t * g
+            reach = 2 * box * abs(st)
+            if qt + up + reach <= 0 or qt + down - reach > norm_limit:
+                continue
+            nodes += 1
+            p, s2 = prefix + (t,), 2 * st
+            for u, gu in leaf:
+                norm = qt + s2 * u + gu
+                if 0 < norm <= norm_limit:
+                    shells.setdefault(norm, []).append((norm, p + (u,)))
 
-    walk(0, (), 0, [0] * n.rank)
-    return [item for norm in sorted(shells) for item in shells[norm]]
+    def walk(prefix: Vector, q: int, s: list[int]) -> None:  # s_j for j >= i = len(prefix)
+        nonlocal nodes
+        i = len(prefix)
+        gii, si, column, up, down = gram[i][i], 2 * s[0], gram[i][i + 1:], hi[i + 1], lo[i + 1]
+        rest, child = s[1:], above_leaves if i + 2 == last else walk
+        for t in order:
+            qt = q + t * (si + gii * t)
+            st = [a + t * b for a, b in zip(rest, column)]
+            reach = 2 * box * sum(map(abs, st))
+            if qt + up + reach <= 0 or qt + down - reach > norm_limit:
+                continue
+            nodes += 1
+            child(prefix + (t,), qt, st)
+
+    (walk if last > 1 else above_leaves)((), 0, [0] * n.rank)
+    return [item for norm in sorted(shells) for item in shells[norm]], nodes
 
 
 def min_polarization_degree(n: Lattice, norm_limit: int = 20,
@@ -219,18 +257,19 @@ def min_polarization_degree(n: Lattice, norm_limit: int = 20,
     dot product alone; only the others run `_walls`, so the accepted
     candidate still passes the full enumeration.  `candidates` counts the
     box vectors in range, `walls_tested` the candidates decided, the hit's
-    own included, and `wall_searches` the `_walls` enumerations run.
+    own included, `wall_searches` the `_walls` enumerations run and
+    `box_nodes` the prefixes the pruned box walk expanded.
     """
     _require_hyperbolic(n)
     if norm_limit <= 0 or coeff_box <= 0:
         raise ValueError("limits must be positive")
-    candidates = _box_candidates(n, norm_limit, coeff_box)
+    candidates, nodes = _box_candidates(n, norm_limit, coeff_box)
     degree = certificate = None
     tested = searches = 0
     known: list[Vector] = []  # G w for the walls w found so far
     for q, vec in candidates:
         tested += 1
-        if any(not sum(a * b for a, b in zip(gw, vec)) for gw in known):
+        if any(not sum(map(mul, gw, vec)) for gw in known):
             continue
         searches += 1
         walls = _walls(n, vec)
@@ -241,7 +280,7 @@ def min_polarization_degree(n: Lattice, norm_limit: int = 20,
         # of each +-w pair; none is kept yet, or vec would have been rejected
         known.extend(n.gram.apply(w) for w in walls[len(walls) // 2:])
     return PolarizationSearchResult(n, degree, certificate, norm_limit, coeff_box, n.rank == 1,
-                                    len(candidates), tested, searches)
+                                    len(candidates), tested, searches, nodes)
 
 
 def verify_certificate(n: Lattice, v: Sequence[int], claimed_degree: int) -> bool:

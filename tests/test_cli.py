@@ -177,6 +177,22 @@ def test_usage_error_exit_code():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [["walls", "--v", "a,b"], ["verify-cert", "--v", "1,b", "--degree", "4"],
+                                  ["walls", "--v=1,,x"]])
+def test_malformed_vector_is_a_usage_error(argv, capsys):
+    _, built = run_cli(["lattice", "build", "u"])
+    old = sys.stdin
+    sys.stdin = io.StringIO(built)
+    try:
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+    finally:
+        sys.stdin = old
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and captured.out == ""
+    assert "argument --v: expected comma-separated integers" in captured.err.splitlines()[-1]
+
+
 def fresh_process_env():
     src = str(Path(cli.__file__).resolve().parents[1])
     return dict(os.environ, COLUMNS="80",

@@ -272,9 +272,62 @@ def test_box_candidates_match_oracle():
         assert lat.signature() == (1, lat.rank - 1, 0)
         box = rng.randint(1, 4 if lat.rank < 5 else 3)
         norm_limit = rng.randint(1, 20)
-        assert _box_candidates(lat, norm_limit, box) == box_candidates_oracle(lat, norm_limit, box)
+        assert _box_candidates(lat, norm_limit, box)[0] == box_candidates_oracle(lat, norm_limit, box)
     for box in (1, 2, 3, 4):
-        assert _box_candidates(hyperbolic_u(), 20, box) == box_candidates_oracle(hyperbolic_u(), 20, box)
+        assert _box_candidates(hyperbolic_u(), 20, box)[0] == box_candidates_oracle(hyperbolic_u(), 20, box)
+
+
+def random_symmetric(rng, rank, kind):
+    """A symmetric Gram with entries in -3..3 and nonzero off-diagonals: any
+    signature ("dense"), definite of either sign, or with one coordinate
+    repeating another, so degenerate."""
+    off = (-1, 1) if kind == "definite" else (-3, -2, -1, 1, 2, 3)
+    while True:
+        g = [[0] * rank for _ in range(rank)]
+        for i in range(rank):
+            g[i][i] = rng.randint(-3, 3)
+            for j in range(i):
+                g[i][j] = g[j][i] = rng.choice(off)
+        if kind == "definite":
+            sign = rng.choice((1, -1))
+            for i in range(rank):
+                g[i][i] = 3 * sign
+        elif kind == "degenerate" and rank > 1:
+            j, k = rng.sample(range(rank), 2)
+            for i in range(rank):
+                g[k][i] = g[i][k] = g[j][i] if i != k else g[j][j]
+        lat = Lattice(rank, IntMatrix(g))
+        pos, neg, zero = lat.signature()
+        if kind != "definite" or pos == rank or neg == rank:
+            return lat
+
+
+def test_box_candidates_pruned_walk_matches_oracle():
+    rng = random.Random(61)
+    kinds = {"indefinite": 0, "definite": 0, "degenerate": 0}
+    pruned = 0
+    for case in range(150):
+        rank = rng.randint(1, 5)
+        lat = random_symmetric(rng, rank, ("dense", "definite", "degenerate")[case % 3])
+        pos, neg, zero = lat.signature()
+        kinds["degenerate" if zero else "indefinite" if pos and neg else "definite"] += 1
+        box = rng.randint(1, 3 if rank < 5 else 2)
+        norm_limit = rng.choice((1, 2, 7, 20, 10**12))
+        got, nodes = _box_candidates(lat, norm_limit, box)
+        assert got == box_candidates_oracle(lat, norm_limit, box)
+        full = sum((2 * box + 1) ** k for k in range(rank))  # the prefixes of the unpruned walk
+        assert 1 <= nodes <= full
+        pruned += nodes < full
+    assert min(kinds.values()) >= 30 and pruned >= 50
+
+
+def test_mindeg_u_e8_box_two_prunes_the_walk():
+    lat = direct_sum(hyperbolic_u(), Lattice(8, -e8().gram))
+    res = min_polarization_degree(lat, norm_limit=20, coeff_box=2)
+    assert (res.upper_bound, res.certificate) == (None, None)
+    assert res.candidates == res.walls_tested == 7208
+    assert res.wall_searches == 1
+    assert res.box_nodes <= 150_000  # the unpruned walk expanded 2,441,406 prefixes
 
 
 def brute_min_degree(lat, norm_limit, box):
@@ -363,7 +416,7 @@ def u_plus_negative_signed(rng, t):
 
 def mindeg_without_known_walls(lat, norm_limit, box):
     """The scan with one `_walls` enumeration per candidate and nothing kept."""
-    candidates = _box_candidates(lat, norm_limit, box)
+    candidates, _ = _box_candidates(lat, norm_limit, box)
     for tested, (q, vec) in enumerate(candidates, 1):
         if not _walls(lat, vec):
             return q, vec, len(candidates), tested
@@ -406,7 +459,7 @@ def test_mindeg_runs_walls_only_for_undecided_candidates(monkeypatch):
     res = min_polarization_degree(lat, norm_limit=20, coeff_box=3)
     assert (res.upper_bound, res.certificate) == (3, (1, 2, 1, 0, 0))
     assert len(searched) == res.wall_searches < res.walls_tested
-    decided = [v for _, v in _box_candidates(lat, 20, 3)[:res.walls_tested]]
+    decided = [v for _, v in _box_candidates(lat, 20, 3)[0][:res.walls_tested]]
     assert searched[-1] == res.certificate == decided[-1]
     skipped = [v for v in decided if v not in searched]
     assert len(skipped) == res.walls_tested - res.wall_searches
