@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import clifford as cl
@@ -334,6 +335,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
+    except BrokenPipeError:  # the reader is gone: what is still buffered goes to devnull, not to a traceback
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ValueError, AssertionError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

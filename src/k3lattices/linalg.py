@@ -6,12 +6,13 @@ serves LDL^T and Sylvester signatures; determinants and the Gauss-Jordan
 inverse (integer numerators over one determinant, wrapped as a `RatMatrix`)
 use the same update.  A determinant first splits the matrix into the blocks
 of its nonzero pattern, so an orthogonal sum costs one Bareiss pass per
-summand.  Smith normal form with transforms serves where Smith data is the
-answer, as for saturated kernels; where only the invariant factors are needed
-and a multiple of the torsion is known (discriminant groups, primitivity),
-they are computed modulo that multiple, so no entry outgrows it.  Integral
-LLL builds on LDL^T.  Products skip the zeros of the left factor (each
-product row is a sum of rows of the right factor) and build no transpose.
+summand.  One Smith algorithm (Cohen, GTM 138, Alg. 2.4.14: Bezout steps)
+runs in two domains: over Z with unimodular transforms, where Smith data is
+the answer, as for saturated kernels; and modulo a known multiple of the
+torsion where only the invariant factors are needed (discriminant groups,
+primitivity), so that no entry outgrows it.  Integral LLL builds on LDL^T.
+Products skip the zeros of the left factor (each product row is a sum of rows
+of the right factor) and build no transpose.
 """
 
 from __future__ import annotations
@@ -180,96 +181,61 @@ class SnfDecomposition:
 def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
     """Smith normal form with recorded unimodular transforms.
 
-    Kannan-Bachem style: pivot on the minimal nonzero absolute value to keep
-    intermediate entries small, clear the pivot row and column by division
-    steps, and repair divisibility of the trailing block before advancing.
+    Cohen, GTM 138, Alg. 2.4.14 over Z: the steps of `_smith_mod`, with
+    the row steps kept in u and the column steps in v.  The pivot is the
+    first entry of least absolute value in the active block.  It clears its
+    column and then its row by 2x2 Bezout steps, or by plain subtraction
+    where it divides the entry; a Bezout column step can refill the column,
+    so the pass repeats.  Once both are clear, a trailing entry that the
+    pivot does not divide is added into the pivot row (never for a unit
+    pivot).  It terminates: each Bezout step leaves a proper divisor of the
+    pivot, and each repair lowers it, since the next pass must take one.
     """
-    a = m.tolists()
     nrows, ncols = m.rows, m.cols
-    u = IntMatrix.identity(nrows).tolists()
-    v = IntMatrix.identity(ncols).tolists()
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def addmul_row(dst, src, q):
-        # row_dst += q * row_src
-        arow, srow = a[dst], a[src]
-        for k in range(ncols):
-            arow[k] += q * srow[k]
-        urow, usrc = u[dst], u[src]
-        for k in range(nrows):
-            urow[k] += q * usrc[k]
-
-    def addmul_col(dst, src, q):
-        for row in a:
-            row[dst] += q * row[src]
-        for row in v:
-            row[dst] += q * row[src]
-
-    t = 0
-    while t < min(nrows, ncols):
-        # locate minimal nonzero |entry| in the active block
-        pivot = None
+    a, u = m.tolists(), IntMatrix.identity(nrows).tolists()
+    vt = IntMatrix.identity(ncols).tolists()  # the columns of v
+    for t in range(min(nrows, ncols)):
+        best, where = 0, None
         for i in range(t, nrows):
-            for j in range(t, ncols):
-                x = a[i][j]
-                if x != 0 and (pivot is None or abs(x) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-
-        while True:
-            # clear column t by division; a nonzero remainder becomes the new pivot
-            dirty = False
-            for i in range(t + 1, nrows):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    addmul_row(i, t, -q)
-                    if a[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, ncols):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    addmul_col(j, t, -q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-            if dirty:
-                continue
-            # force pivot to divide the trailing block
-            offender = None
-            for i in range(t + 1, nrows):
-                for j in range(t + 1, ncols):
-                    if a[i][j] % a[t][t] != 0:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
+            for j, x in enumerate(a[i][t:], t):
+                if x and (where is None or abs(x) < best):
+                    best, where = abs(x), (i, j)
+            if best == 1:  # nothing later is smaller
                 break
-            addmul_row(t, offender, 1)
-        t += 1
-
-    # normalize diagonal signs
-    for i in range(min(nrows, ncols)):
-        if a[i][i] < 0:
-            for k in range(ncols):
-                a[i][k] = -a[i][k]
-            for k in range(nrows):
-                u[i][k] = -u[i][k]
-
-    return SnfDecomposition(IntMatrix(u), IntMatrix(a, cols=ncols), IntMatrix(v))
+        if where is None:  # the active block is zero
+            break
+        i, j = where
+        a[t], a[i], u[t], u[i] = a[i], a[t], u[i], u[t]
+        for row in a[t:]:
+            row[t], row[j] = row[j], row[t]
+        vt[t], vt[j] = vt[j], vt[t]
+        p = a[t][t]
+        while True:
+            for i in range(t + 1, nrows):
+                if a[i][t]:
+                    step = _clearing_step(p, a[i][t])
+                    a[t], a[i] = _combine(a[t], a[i], *step)
+                    u[t], u[i] = _combine(u[t], u[i], *step)
+                    p = a[t][t]
+            settled = True
+            for j in range(t + 1, ncols):
+                if a[t][j]:
+                    s, c, e, f = step = _clearing_step(p, a[t][j])
+                    for row in a[t:]:
+                        y, z = row[t], row[j]
+                        row[t], row[j] = s * y + c * z, e * y + f * z
+                    vt[t], vt[j] = _combine(vt[t], vt[j], *step)
+                    settled = settled and a[t][t] == p
+                    p = a[t][t]
+            if not settled:  # a Bezout column step refilled column t
+                continue
+            k = abs(p) > 1 and next((i for i in range(t + 1, nrows) if any(x % p for x in a[i][t + 1:])), None)
+            if not k:  # a unit pivot, or one that divides the trailing block
+                break
+            a[t], u[t] = [y + z for y, z in zip(a[t], a[k])], [y + z for y, z in zip(u[t], u[k])]
+        if p < 0:
+            a[t], u[t] = [-x for x in a[t]], [-x for x in u[t]]
+    return SnfDecomposition(IntMatrix(u), IntMatrix(a, cols=ncols), IntMatrix.from_columns(vt, ncols))
 
 
 def _smith_mod(m: IntMatrix, modulus: int, transform: bool = False) -> tuple[list[int], list[list[int]] | None]:
@@ -371,6 +337,13 @@ def _clearing_step(p: int, x: int) -> tuple[int, int, int, int]:
         return 1, 0, -(x // p), 1
     g, s, c = _xgcd(p, x)
     return s, c, x // g, -(p // g)
+
+
+def _combine(u: list[int], w: list[int], s: int, c: int, e: int, f: int) -> tuple[list[int], list[int]]:
+    """(s u + c w, e u + f w) over Z; a plain subtraction (c = 0) returns u itself."""
+    if not c:
+        return u, [e * y + z for y, z in zip(u, w)]
+    return [s * y + c * z for y, z in zip(u, w)], [e * y + f * z for y, z in zip(u, w)]
 
 
 def _mix(u: list[int], w: list[int], s: int, c: int, e: int, f: int, modulus: int) -> tuple[list[int], list[int]]:

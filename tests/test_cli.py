@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from k3lattices import cli, serialize as ser
-from k3lattices.lattices import direct_sum, hyperbolic_u, rank_one, sublattice_embedding
+from k3lattices.lattices import Lattice, direct_sum, hyperbolic_u, rank_one, sublattice_embedding
+from k3lattices.linalg import IntMatrix
 
 
 def run_cli(argv, stdin_text=""):
@@ -249,7 +250,6 @@ def test_big_int_string_rendering(tmp_path):
 
 
 def test_lattice_info_on_a_dense_six_by_six_gram(tmp_path):
-    # unreduced Kannan-Bachem Smith form never returns on this Gram
     gram = [[-9, -3, -4, 9, 5, -4], [-3, -2, -4, -8, 6, -2], [-4, -4, -4, -8, -5, -6],
             [9, -8, -8, 1, -4, 6], [5, 6, -5, -4, -3, 8], [-4, -2, -6, 6, 8, -8]]
     path = tmp_path / "lat.json"
@@ -257,6 +257,32 @@ def test_lattice_info_on_a_dense_six_by_six_gram(tmp_path):
     code, out = run_cli(["lattice", "info", "--file", str(path)])
     assert code == 0
     assert out == '{"disc":1698912,"disc_group":[3,566304],"rank":6,"signature":[2,4,0]}\n'
+
+
+def test_complement_of_a_dense_four_by_six_embedding():
+    # the kernel of these pairings has a short basis; an unreduced Smith transform can pass the int-to-str limit
+    target = Lattice(6, IntMatrix([[1, -2, -2, 3, -1, 1], [-2, 4, 0, 2, -2, -4], [-2, 0, -2, 0, 3, 3],
+                                   [3, 2, 0, 4, -3, -4], [-1, -2, 3, -3, -1, 4], [1, -4, 3, -4, 4, 2]]))
+    emb = sublattice_embedding(target, [(-9, 0, 0, -3, 2, 3), (0, -9, -2, 9, -6, 1),
+                                        (3, 3, -2, 9, 3, 3), (4, 6, -3, 1, -2, 1)])
+    code, out = run_cli(["complement"], stdin_text=ser.dumps(ser.embedding_to_obj(emb)))
+    assert code == 0
+    comp = ser.embedding_from_obj(json.loads(out))
+    assert comp.source.rank == 2
+    assert emb.matrix.transpose() @ target.gram @ comp.matrix == IntMatrix.zero(4, 2)
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "k3lattices.cli", "lattice", "build", "k3"],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              env=fresh_process_env(), timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
 
 
 @pytest.mark.parametrize("argv, stdin_text", [

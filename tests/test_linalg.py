@@ -157,6 +157,13 @@ def test_snf_rectangular_and_random():
         assert_snf_valid(random_matrix(rng, rows, cols))
 
 
+def test_snf_dense_six_by_six_gram():
+    # a dense nondegenerate Gram on which unreduced division steps grow without bound
+    gram = IntMatrix([[-9, -3, -4, 9, 5, -4], [-3, -2, -4, -8, 6, -2], [-4, -4, -4, -8, -5, -6],
+                      [9, -8, -8, 1, -4, 6], [5, 6, -5, -4, -3, 8], [-4, -2, -6, 6, 8, -8]])
+    assert assert_snf_valid(gram).invariant_factors() == [1, 1, 1, 1, 3, 566304]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.lists(st.integers(-30, 30), min_size=3, max_size=3), min_size=1, max_size=4))
 def test_snf_property(entries):
