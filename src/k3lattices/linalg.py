@@ -6,11 +6,11 @@ serves LDL^T and Sylvester signatures; determinants and the Gauss-Jordan
 inverse (integer numerators over one determinant, wrapped as a `RatMatrix`)
 use the same update.  A determinant first splits the matrix into the blocks
 of its nonzero pattern, so an orthogonal sum costs one Bareiss pass per
-summand.  One Smith algorithm (Cohen, GTM 138, Alg. 2.4.14: Bezout steps)
-runs in two domains: over Z with unimodular transforms, where Smith data is
-the answer, as for saturated kernels; and modulo a known multiple of the
-torsion where only the invariant factors are needed (discriminant groups,
-primitivity), so that no entry outgrows it.  Integral LLL builds on LDL^T.
+summand.  Both Smith forms follow Cohen, GTM 138, Alg. 2.4.14 (Bezout
+steps), one routine per domain: over Z with unimodular transforms, where
+Smith data is the answer (saturated kernels); and modulo a known multiple
+of the torsion where only the invariant factors are needed (discriminant
+groups, primitivity), so no entry outgrows it.  Integral LLL builds on LDL^T.
 Products skip the zeros of the left factor (each product row is a sum of rows
 of the right factor) and build no transpose.
 """
@@ -181,23 +181,24 @@ class SnfDecomposition:
 def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
     """Smith normal form with recorded unimodular transforms.
 
-    Cohen, GTM 138, Alg. 2.4.14 over Z: the steps of `_smith_mod`, with
-    the row steps kept in u and the column steps in v.  The pivot is the
-    first entry of least absolute value in the active block.  It clears its
-    column and then its row by 2x2 Bezout steps, or by plain subtraction
-    where it divides the entry; a Bezout column step can refill the column,
-    so the pass repeats.  Once both are clear, a trailing entry that the
-    pivot does not divide is added into the pivot row (never for a unit
-    pivot).  It terminates: each Bezout step leaves a proper divisor of the
-    pivot, and each repair lowers it, since the next pass must take one.
+    Cohen, GTM 138, Alg. 2.4.14 over Z: the steps of `_smith_mod` on the
+    rows of [m | I], so each row step also builds u, with each column step
+    repeated on the columns of v.  The pivot, the first entry of least
+    absolute value in the active block, clears its column and then its row
+    by 2x2 Bezout steps, or by plain subtraction where it divides the entry;
+    a Bezout column step can refill the column, so the pass repeats.  Then a
+    trailing entry that the pivot does not divide is added into the pivot
+    row (never for a unit pivot).  It terminates: each Bezout step leaves a
+    proper divisor of the pivot, and each repair lowers it, since the next
+    pass must take one.
     """
     nrows, ncols = m.rows, m.cols
-    a, u = m.tolists(), IntMatrix.identity(nrows).tolists()
+    a = [row + [int(i == k) for k in range(nrows)] for i, row in enumerate(m.tolists())]
     vt = IntMatrix.identity(ncols).tolists()  # the columns of v
     for t in range(min(nrows, ncols)):
         best, where = 0, None
         for i in range(t, nrows):
-            for j, x in enumerate(a[i][t:], t):
+            for j, x in enumerate(a[i][t:ncols], t):
                 if x and (where is None or abs(x) < best):
                     best, where = abs(x), (i, j)
             if best == 1:  # nothing later is smaller
@@ -205,7 +206,7 @@ def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
         if where is None:  # the active block is zero
             break
         i, j = where
-        a[t], a[i], u[t], u[i] = a[i], a[t], u[i], u[t]
+        a[t], a[i] = a[i], a[t]
         for row in a[t:]:
             row[t], row[j] = row[j], row[t]
         vt[t], vt[j] = vt[j], vt[t]
@@ -213,9 +214,7 @@ def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
         while True:
             for i in range(t + 1, nrows):
                 if a[i][t]:
-                    step = _clearing_step(p, a[i][t])
-                    a[t], a[i] = _combine(a[t], a[i], *step)
-                    u[t], u[i] = _combine(u[t], u[i], *step)
+                    a[t], a[i] = _combine(a[t], a[i], *_clearing_step(p, a[i][t]))
                     p = a[t][t]
             settled = True
             for j in range(t + 1, ncols):
@@ -229,13 +228,16 @@ def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
                     p = a[t][t]
             if not settled:  # a Bezout column step refilled column t
                 continue
-            k = abs(p) > 1 and next((i for i in range(t + 1, nrows) if any(x % p for x in a[i][t + 1:])), None)
-            if not k:  # a unit pivot, or one that divides the trailing block
+            bad = None if abs(p) == 1 else next(
+                (row for row in a[t + 1:] if any(x % p for x in row[t + 1:ncols])), None)
+            if bad is None:  # a unit pivot, or one that divides the trailing block
                 break
-            a[t], u[t] = [y + z for y, z in zip(a[t], a[k])], [y + z for y, z in zip(u[t], u[k])]
+            a[t] = [y + z for y, z in zip(a[t], bad)]
         if p < 0:
-            a[t], u[t] = [-x for x in a[t]], [-x for x in u[t]]
-    return SnfDecomposition(IntMatrix(u), IntMatrix(a, cols=ncols), IntMatrix.from_columns(vt, ncols))
+            a[t] = [-x for x in a[t]]
+    u = IntMatrix([row[ncols:] for row in a])
+    d = IntMatrix([row[:ncols] for row in a], cols=ncols)
+    return SnfDecomposition(u, d, IntMatrix.from_columns(vt, ncols))
 
 
 def _smith_mod(m: IntMatrix, modulus: int, transform: bool = False) -> tuple[list[int], list[list[int]] | None]:
