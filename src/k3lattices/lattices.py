@@ -240,9 +240,10 @@ def discriminant_group(n: Lattice) -> DiscriminantForm:
     """Invariant factors and the torsion form of N^vee / N.
 
     N^vee / N is Z^r / G Z^r through x -> G x, and D = |det G| kills it, so
-    Smith data modulo M = D^2 suffices.  `_smith_mod` gives U G V = diag(delta)
-    + M Y with U, V invertible mod M and d_t = gcd(delta_t, M); since D Z^r
-    lies in G Z^r, Z^r / G Z^r = (Z/M)^r / G (Z/M)^r is the sum of the Z/d_t
+    Smith data modulo M = D^2 suffices.  `_smith_mod`, the one Smith routine
+    of `linalg` run mod M, gives U G V = diag(delta) + M Y with U, V
+    invertible mod M and d_t = gcd(delta_t, M); since D Z^r lies in G Z^r,
+    Z^r / G Z^r = (Z/M)^r / G (Z/M)^r is the sum of the Z/d_t
     generated by the classes of U^{-1} e_t, and the d_t > 1 are its invariant
     factors, of product D.  The lift of generator t is x_t = w_t / d_t, w_t
     column t of V mod d_t: G V e_t = delta_t U^{-1} e_t + M y, so G x_t is
@@ -306,7 +307,8 @@ def is_primitive(sub: LatticeEmbedding) -> bool:
     minors of B.  By Cauchy-Binet its square divides D = det(B^T G B), the
     source's determinant, and also det(B^T B) != 0, which serves for a
     degenerate source.  So every d_t divides D, and the embedding is
-    primitive iff every gcd(d_t, D) is 1, Smith data modulo D.
+    primitive iff every gcd(d_t, D) is 1: Smith data modulo D, from the one
+    Smith routine of `linalg` run mod D (`_smith_mod`).
     """
     d = sub.source.disc() or abs(det_exact(sub.matrix.transpose() @ sub.matrix))
     return d == 1 or all(f == 1 for f in _smith_mod(sub.matrix, d)[0])

@@ -6,8 +6,8 @@ serves LDL^T and Sylvester signatures; determinants and the Gauss-Jordan
 inverse (integer numerators over one determinant, wrapped as a `RatMatrix`)
 use the same update.  A determinant first splits the matrix into the blocks
 of its nonzero pattern, so an orthogonal sum costs one Bareiss pass per
-summand.  Both Smith forms follow Cohen, GTM 138, Alg. 2.4.14 (Bezout
-steps), one routine per domain: over Z with unimodular transforms, where
+summand.  Both Smith forms are one routine, Cohen, GTM 138, Alg. 2.4.14
+(Bezout steps), run in two domains: over Z with unimodular transforms, where
 Smith data is the answer (saturated kernels); and modulo a known multiple
 of the torsion where only the invariant factors are needed (discriminant
 groups, primitivity), so no entry outgrows it.  Integral LLL builds on LDL^T.
@@ -181,60 +181,13 @@ class SnfDecomposition:
 def smith_normal_form(m: IntMatrix) -> SnfDecomposition:
     """Smith normal form with recorded unimodular transforms.
 
-    Cohen, GTM 138, Alg. 2.4.14 over Z: the steps of `_smith_mod` on the
-    rows of [m | I], so each row step also builds u, with each column step
-    repeated on the columns of v.  The pivot, the first entry of least
-    absolute value in the active block, clears its column and then its row
-    by 2x2 Bezout steps, or by plain subtraction where it divides the entry;
-    a Bezout column step can refill the column, so the pass repeats.  Then a
-    trailing entry that the pivot does not divide is added into the pivot
-    row (never for a unit pivot).  It terminates: each Bezout step leaves a
-    proper divisor of the pivot, and each repair lowers it, since the next
-    pass must take one.
+    `_smith` over Z on the rows of [m | I], so each row step also builds u,
+    with each column step repeated on the columns of v.
     """
     nrows, ncols = m.rows, m.cols
     a = [row + [int(i == k) for k in range(nrows)] for i, row in enumerate(m.tolists())]
     vt = IntMatrix.identity(ncols).tolists()  # the columns of v
-    for t in range(min(nrows, ncols)):
-        best, where = 0, None
-        for i in range(t, nrows):
-            for j, x in enumerate(a[i][t:ncols], t):
-                if x and (where is None or abs(x) < best):
-                    best, where = abs(x), (i, j)
-            if best == 1:  # nothing later is smaller
-                break
-        if where is None:  # the active block is zero
-            break
-        i, j = where
-        a[t], a[i] = a[i], a[t]
-        for row in a[t:]:
-            row[t], row[j] = row[j], row[t]
-        vt[t], vt[j] = vt[j], vt[t]
-        p = a[t][t]
-        while True:
-            for i in range(t + 1, nrows):
-                if a[i][t]:
-                    a[t], a[i] = _combine(a[t], a[i], *_clearing_step(p, a[i][t]))
-                    p = a[t][t]
-            settled = True
-            for j in range(t + 1, ncols):
-                if a[t][j]:
-                    s, c, e, f = step = _clearing_step(p, a[t][j])
-                    for row in a[t:]:
-                        y, z = row[t], row[j]
-                        row[t], row[j] = s * y + c * z, e * y + f * z
-                    vt[t], vt[j] = _combine(vt[t], vt[j], *step)
-                    settled = settled and a[t][t] == p
-                    p = a[t][t]
-            if not settled:  # a Bezout column step refilled column t
-                continue
-            bad = None if abs(p) == 1 else next(
-                (row for row in a[t + 1:] if any(x % p for x in row[t + 1:ncols])), None)
-            if bad is None:  # a unit pivot, or one that divides the trailing block
-                break
-            a[t] = [y + z for y, z in zip(a[t], bad)]
-        if p < 0:
-            a[t] = [-x for x in a[t]]
+    _smith(a, ncols, 0, vt)
     u = IntMatrix([row[ncols:] for row in a])
     d = IntMatrix([row[:ncols] for row in a], cols=ncols)
     return SnfDecomposition(u, d, IntMatrix.from_columns(vt, ncols))
@@ -244,37 +197,50 @@ def _smith_mod(m: IntMatrix, modulus: int, transform: bool = False) -> tuple[lis
     """Smith invariants of m over Z/modulus: ([gcd(d_t, modulus)], V or None).
 
     d_1 | d_2 | ... are the invariant factors of m (0 past its rank), one for
-    each t < min(rows, cols).  Cohen, GTM 138, Alg. 2.4.14: entries live mod
-    modulus, and each pivot clears its row and column by 2x2 Bezout steps,
-    or by plain subtraction where it divides the entry.  A unit pivot is
-    scaled to 1 and needs nothing else; otherwise, once its row and column
-    are clear, a trailing entry that gcd(pivot, modulus) does not divide is
-    added into the pivot row.  It terminates: each Bezout step leaves a
-    proper divisor of the pivot, and each repair lowers gcd(pivot, modulus).
-    Row steps and the scaling are invertible mod modulus and are not kept;
-    with `transform`, V is kept as its list of columns mod modulus, and
+    each t < min(rows, cols): `_smith` on m mod modulus, so no entry outgrows
+    it.  Row steps are invertible mod modulus and are not kept; with
+    `transform`, V is kept as its list of columns mod modulus, and
     U m V = diag(delta) mod modulus with gcd(delta_t, modulus) the returned
     values, for some U invertible mod modulus.
     """
-    nrows, ncols = m.rows, m.cols
-    a = [[x % modulus for x in row] for row in m._entries]
-    vt = [[int(i == j) for j in range(ncols)] for i in range(ncols)] if transform else None
+    vt = IntMatrix.identity(m.cols).tolists() if transform else None
+    return _smith([[x % modulus for x in row] for row in m._entries], m.cols, modulus, vt), vt
+
+
+def _smith(a: list[list[int]], ncols: int, modulus: int, vt: list[list[int]] | None) -> list[int]:
+    """Cohen, GTM 138, Alg. 2.4.14 on the rows a, in place; returns [gcd(d_t, modulus)].
+
+    Over Z, modulus is 0: nothing is reduced, and gcd(x, 0) = |x| makes each
+    test below read the same in both domains.  Otherwise entries live mod
+    modulus.  Columns of a past ncols move with the row steps, and vt (the
+    columns of V, or None) with the column steps.  The pivot is the first
+    entry of least gcd(x, modulus) in the active block.  A unit pivot clears
+    its column and row by subtraction alone.  Any other clears its column by
+    2x2 Bezout row steps and its row by Bezout column steps, or by plain
+    subtraction where it divides the entry; a Bezout column step can refill
+    the column, so the pass repeats.  Then a trailing entry that
+    g = gcd(pivot, modulus) does not divide is added into the pivot row.  It
+    terminates: each Bezout step leaves a proper divisor of the pivot, and
+    each repair lowers g, since the next pass must take one.  Over Z a
+    negative pivot row is negated last.
+    """
+    nrows, rank = len(a), min(len(a), ncols)
     diag: list[int] = []
-    for t in range(min(nrows, ncols)):
-        # pivot: the first unit of the active block, else an entry of least gcd with the modulus
-        best, where = modulus, None
+    for t in range(rank):
+        best, where = 0, None
         for i in range(t, nrows):
             row = a[i]
             for j in range(t, ncols):
-                g = gcd(row[j], modulus) if row[j] else modulus
-                if g < best:
-                    best, where = g, (i, j)
-                    if g == 1:
-                        break
+                if row[j]:
+                    g = gcd(row[j], modulus)
+                    if where is None or g < best:
+                        best, where = g, (i, j)
+                        if g == 1:  # nothing later is smaller
+                            break
             if best == 1:
                 break
-        if where is None:  # the active block is 0 mod modulus
-            diag += [modulus] * (min(nrows, ncols) - t)
+        if where is None:  # the active block is zero
+            diag += [modulus] * (rank - t)
             break
         i, j = where
         a[t], a[i] = a[i], a[t]
@@ -285,48 +251,46 @@ def _smith_mod(m: IntMatrix, modulus: int, transform: bool = False) -> tuple[lis
                 vt[t], vt[j] = vt[j], vt[t]
         p = a[t][t]
         if best == 1:
-            # row t times p^-1 has pivot 1; column steps then change only V and row t, which is done
-            inv = pow(p, -1, modulus)
-            prow = [x * inv % modulus for x in a[t]]
+            inv = pow(p, -1, modulus) if modulus else p  # over Z, p = +-1
             for i in range(t + 1, nrows):
-                x = a[i][t]
-                if x:
-                    a[i] = [(y - x * z) % modulus for y, z in zip(a[i], prow)]
-            if vt is not None:
+                if a[i][t]:
+                    a[i] = _row_step(a[t], a[i], 1, 0, -a[i][t] * inv, 1, modulus)[1]
+            if vt is not None:  # the column steps change only V and row t
                 for j in range(t + 1, ncols):
-                    x = prow[j]
-                    if x:
-                        vt[j] = [(y - x * z) % modulus for y, z in zip(vt[j], vt[t])]
-            diag.append(1)
-            continue
-        while True:
+                    if a[t][j]:
+                        vt[j] = _row_step(vt[t], vt[j], 1, 0, -a[t][j] * inv, 1, modulus)[1]
+            a[t][t + 1:ncols] = [0] * (ncols - t - 1)
+        while best > 1:  # a Bezout pass, repeated until it leaves the pivot as it is
             for i in range(t + 1, nrows):
-                x = a[i][t]
-                if x:
-                    s, c, e, f = _clearing_step(p, x)
-                    a[t], a[i] = _mix(a[t], a[i], s, c, e, f, modulus)
+                if a[i][t]:
+                    a[t], a[i] = _row_step(a[t], a[i], *_clearing_step(p, a[i][t]), modulus)
                     p = a[t][t]
             settled = True
             for j in range(t + 1, ncols):
-                x = a[t][j]
-                if x:
-                    s, c, e, f = _clearing_step(p, x)
+                if a[t][j]:
+                    s, c, e, f = _clearing_step(p, a[t][j])
                     for row in a[t:]:
                         y, z = row[t], row[j]
-                        row[t], row[j] = (s * y + c * z) % modulus, (e * y + f * z) % modulus
+                        row[t], row[j] = s * y + c * z, e * y + f * z
+                        if modulus:
+                            row[t] %= modulus
+                            row[j] %= modulus
                     if vt is not None:
-                        vt[t], vt[j] = _mix(vt[t], vt[j], s, c, e, f, modulus)
+                        vt[t], vt[j] = _row_step(vt[t], vt[j], s, c, e, f, modulus)
                     settled = settled and a[t][t] == p
                     p = a[t][t]
             if not settled:  # a Bezout column step refilled column t
                 continue
             g = gcd(p, modulus)
-            bad = next((row for row in a[t + 1:] if any(x % g for x in row[t + 1:])), None) if g > 1 else None
+            bad = None if g == 1 else next(
+                (row for row in a[t + 1:] if any(x % g for x in row[t + 1:ncols])), None)
             if bad is None:
                 break
-            a[t] = [(y + z) % modulus for y, z in zip(a[t], bad)]
-        diag.append(g)
-    return diag, vt
+            a[t] = _row_step(bad, a[t], 1, 0, 1, 1, modulus)[1]  # the pivot row plus the bad row
+        if p < 0:
+            a[t] = [-x for x in a[t]]
+        diag.append(gcd(p, modulus))
+    return diag
 
 
 def _clearing_step(p: int, x: int) -> tuple[int, int, int, int]:
@@ -341,17 +305,17 @@ def _clearing_step(p: int, x: int) -> tuple[int, int, int, int]:
     return s, c, x // g, -(p // g)
 
 
-def _combine(u: list[int], w: list[int], s: int, c: int, e: int, f: int) -> tuple[list[int], list[int]]:
-    """(s u + c w, e u + f w) over Z; a plain subtraction (c = 0) returns u itself."""
-    if not c:
-        return u, [e * y + z for y, z in zip(u, w)]
-    return [s * y + c * z for y, z in zip(u, w)], [e * y + f * z for y, z in zip(u, w)]
+def _row_step(u: list[int], w: list[int], s: int, c: int, e: int, f: int,
+              modulus: int) -> tuple[list[int], list[int]]:
+    """(s u + c w, e u + f w), entrywise mod modulus unless it is 0 (over Z).
 
-
-def _mix(u: list[int], w: list[int], s: int, c: int, e: int, f: int, modulus: int) -> tuple[list[int], list[int]]:
-    """(s u + c w, e u + f w), entrywise mod modulus."""
-    return ([(s * y + c * z) % modulus for y, z in zip(u, w)],
-            [(e * y + f * z) % modulus for y, z in zip(u, w)])
+    A plain subtraction (c = 0, s = f = 1) returns u itself.
+    """
+    if modulus:
+        first = [(s * y + c * z) % modulus for y, z in zip(u, w)] if c else u
+        return first, [(e * y + f * z) % modulus for y, z in zip(u, w)]
+    first = [s * y + c * z for y, z in zip(u, w)] if c else u
+    return first, [e * y + f * z for y, z in zip(u, w)]
 
 
 def det_exact(m: IntMatrix) -> int:

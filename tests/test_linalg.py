@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from _oracles import det_by_bareiss, gram_schmidt_oracle, matmul_oracle
 from k3lattices.lattices import big_l, k3_lattice, l_d
 from k3lattices.linalg import (
     IntMatrix,
+    _smith_mod,
     bezout_combination,
     content,
     det_exact,
@@ -168,6 +170,36 @@ def test_snf_dense_six_by_six_gram():
 @given(st.lists(st.lists(st.integers(-30, 30), min_size=3, max_size=3), min_size=1, max_size=4))
 def test_snf_property(entries):
     assert_snf_valid(IntMatrix(entries))
+
+
+@st.composite
+def smith_inputs(draw):
+    """(m, M): m of size 0..6 x 0..7, often of lower rank than its shape allows."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 7))
+    entries = st.integers(-12, 12)
+    if draw(st.booleans()):  # a product through k <= min(rows, cols) has rank <= k
+        k = draw(st.integers(0, min(rows, cols)))
+        a = [[draw(entries) for _ in range(k)] for _ in range(rows)]
+        b = [[draw(entries) for _ in range(cols)] for _ in range(k)]
+        grid = [[sum(a[i][l] * b[l][j] for l in range(k)) for j in range(cols)] for i in range(rows)]
+    else:
+        grid = [[draw(entries) for _ in range(cols)] for _ in range(rows)]
+    modulus = draw(st.sampled_from([1, 2, 4, 6, 9, 12, 97, 360, 1698912]))
+    return IntMatrix(grid, cols=cols), modulus
+
+
+@settings(max_examples=300, deadline=None)
+@given(smith_inputs())
+def test_smith_mod_agrees_with_smith_over_z(case):
+    m, modulus = case
+    d = smith_normal_form(m).d
+    assert _smith_mod(m, modulus)[0] == [gcd(d[t, t], modulus) for t in range(min(m.rows, m.cols))]
+    diag, vt = _smith_mod(m, modulus, transform=True)
+    assert len(vt) == m.cols
+    v = IntMatrix.from_columns(vt, m.cols)
+    assert gcd(det_exact(v), modulus) == 1
+    for dt, col in zip(diag, (m @ v).columns()):
+        assert all(x % dt == 0 for x in col)
 
 
 # ---------------------------------------------------------------------------
@@ -535,3 +567,4 @@ def test_hash_is_cached_and_matches_equality():
     assert m._hash is None
     h = hash(m)
     assert m._hash == h == hash(m) == hash(IntMatrix(m.tolists()))
+
