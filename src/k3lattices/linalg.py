@@ -63,6 +63,8 @@ class IntMatrix:
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]], nrows: int) -> "IntMatrix":
+        if any(len(col) != nrows for col in columns):
+            raise ValueError("column length mismatch")
         return cls._trusted(tuple(zip(*columns)), len(columns)) if columns else cls.zero(nrows, 0)
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
@@ -103,6 +105,8 @@ class IntMatrix:
         return tuple(sum(a * b for a, b in zip(row, vec)) for row in self._entries)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError(f"shape mismatch {self.rows}x{self.cols} + {other.rows}x{other.cols}")
         rows = zip(self._entries, other._entries)
         return IntMatrix._trusted(tuple(tuple(a + b for a, b in zip(r, s)) for r, s in rows), self.cols)
 
@@ -154,6 +158,8 @@ class RatMatrix:
         return cls(m.tolists())
 
     def apply(self, vec: Sequence[Fraction | int]) -> list[Fraction]:
+        if len(vec) != self.cols:
+            raise ValueError("vector length mismatch")
         return [sum((a * Fraction(b) for a, b in zip(row, vec)), Fraction(0)) for row in self.entries]
 
     def to_int(self) -> IntMatrix:

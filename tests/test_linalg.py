@@ -11,6 +11,7 @@ from _oracles import det_by_bareiss, gram_schmidt_oracle, matmul_oracle
 from k3lattices.lattices import big_l, k3_lattice, l_d
 from k3lattices.linalg import (
     IntMatrix,
+    RatMatrix,
     _smith_mod,
     bezout_combination,
     content,
@@ -568,3 +569,26 @@ def test_hash_is_cached_and_matches_equality():
     h = hash(m)
     assert m._hash == h == hash(m) == hash(IntMatrix(m.tolists()))
 
+
+def test_sum_of_different_shapes_is_rejected():
+    with pytest.raises(ValueError, match="shape mismatch 1x2 \\+ 1x1"):
+        IntMatrix([[1, 2]]) + IntMatrix([[1]])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        IntMatrix([[1], [2]]) + IntMatrix([[1]])
+    assert IntMatrix.zero(0, 3) + IntMatrix.zero(0, 3) == IntMatrix.zero(0, 3)
+
+
+def test_from_columns_rejects_ragged_or_wrong_length_columns():
+    with pytest.raises(ValueError, match="column length mismatch"):
+        IntMatrix.from_columns([(1, 2), (3,)], 2)
+    with pytest.raises(ValueError, match="column length mismatch"):
+        IntMatrix.from_columns([(1, 2, 3)], 2)
+    assert IntMatrix.from_columns([(), ()], 0) == IntMatrix.zero(0, 2)
+    assert IntMatrix.from_columns([], 3) == IntMatrix.zero(3, 0)
+
+
+def test_rational_apply_rejects_wrong_vector_length():
+    m = RatMatrix([[1, 2]])
+    with pytest.raises(ValueError, match="vector length mismatch"):
+        m.apply([1])
+    assert m.apply([1, Fraction(1, 2)]) == [Fraction(2)]
