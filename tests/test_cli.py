@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -236,6 +237,33 @@ def test_console_script_installed():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["parts"] == [9, 4, 1, 1]
+
+
+def readme_examples():
+    """{pipeline: output} for each README `k3lat` line followed by a documented `# {...}` output line."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    return {cmd: out[len("# "):] for cmd, out in zip(lines, lines[1:])
+            if cmd.startswith("k3lat ") and out.startswith("# {")}
+
+
+README_EXAMPLES = readme_examples()
+
+
+def test_readme_documents_example_outputs():
+    assert len(README_EXAMPLES) >= 3
+
+
+@pytest.mark.parametrize("pipeline", README_EXAMPLES)
+def test_readme_example_prints_its_documented_bytes(pipeline):
+    data = b""
+    for stage in pipeline.split(" | "):
+        prog, *argv = shlex.split(stage)
+        assert prog == "k3lat"
+        proc = subprocess.run([sys.executable, "-m", "k3lattices.cli", *argv], input=data,
+                              capture_output=True, env=fresh_process_env(), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        data = proc.stdout
+    assert data == (README_EXAMPLES[pipeline] + "\n").encode()
 
 
 def test_big_int_string_rendering(tmp_path):
