@@ -230,9 +230,9 @@ def _smith(a: list[list[int]], ncols: int, modulus: int, vt: list[list[int]] | N
     each repair lowers g, since the next pass must take one.  Over Z a
     negative pivot row is negated last.
     """
-    nrows, rank = len(a), min(len(a), ncols)
+    nrows, k = len(a), min(len(a), ncols)
     diag: list[int] = []
-    for t in range(rank):
+    for t in range(k):
         best, where = 0, None
         for i in range(t, nrows):
             row = a[i]
@@ -246,7 +246,7 @@ def _smith(a: list[list[int]], ncols: int, modulus: int, vt: list[list[int]] | N
             if best == 1:
                 break
         if where is None:  # the active block is zero
-            diag += [modulus] * (rank - t)
+            diag += [modulus] * (k - t)
             break
         i, j = where
         a[t], a[i] = a[i], a[t]
