@@ -455,16 +455,15 @@ class HyperbolicPairs:
 
 
 def _check_marked_planes(n: Lattice, pairs: HyperbolicPairs) -> None:
-    idx = pairs.all_indices()
-    if len(set(idx)) != 4:
+    """Each marked (e, f) spans a standard U orthogonal to all other basis vectors."""
+    if len(set(pairs.all_indices())) != 4:
         raise ValueError("hyperbolic pair indices must be distinct")
-    for (i, j) in (pairs.first, pairs.second):
-        if not (n.gram[i, i] == 0 and n.gram[j, j] == 0 and n.gram[i, j] == 1):
-            raise ValueError(f"columns {(i, j)} do not span a standard U-summand")
-    for i in idx:
-        for k in range(n.rank):
-            if k not in idx and n.gram[i, k] != 0:
-                raise ValueError("marked U-summands are not orthogonal to the rest")
+    for plane in (pairs.first, pairs.second):
+        e, f = plane
+        if not (n.gram[e, e] == 0 and n.gram[f, f] == 0 and n.gram[e, f] == 1):
+            raise ValueError(f"columns {plane} do not span a standard U-summand")
+        if any(n.gram[i, k] for i in plane for k in range(n.rank) if k not in plane):
+            raise ValueError("marked U-summands are not orthogonal to the rest")
 
 
 @dataclass(frozen=True)
@@ -476,22 +475,48 @@ class MoveResult:
     transvections: int  # non-trivial Eichler transvections composed into `isometry`
 
 
+def _nearest_quotient(a: int, b: int) -> int:
+    q, r = divmod(a, b)
+    return q + 1 if 2 * abs(r) > abs(b) else q
+
+
 def move_primitive_vector(v: Sequence[int], n: Lattice, pairs: HyperbolicPairs) -> MoveResult:
     """Carry a primitive vector of nonzero even norm to e1 + (v^2/2) f1.
 
-    Composes Eichler transvections built from two marked hyperbolic planes:
-    first arrange gcd(v.f1, v.e1) = 1 (a Bezout combination against the
-    complement realizes the content of the complement part; a bounded search
-    then fixes the gcd modulo v.e1), then run 2x2 Smith reduction on the
-    four plane pairings - each elementary row/column step is exactly one
-    transvection with an isotropic plane vector - which drives v.f1 to +-1,
-    and finish with a single transvection clearing everything outside the
-    first plane.  For a unimodular even ambient this always canonicalizes;
-    otherwise the reduced vector and its divisor are reported as-is.
+    Composes Eichler transvections E(f, a) built from the marked planes
+    (e1, f1), (e2, f2).  These are standard U's orthogonal to every other
+    basis vector (`_check_marked_planes`), so a pairing with a plane vector is
+    a coordinate read: x.f = x_e and x.e = x_f.  Write a1 = v.f1, b1 = v.e1
+    and t = v.c, where the Bezout combination c outside plane 1 makes t the
+    content of G (v outside plane 1).  As (G v)_e1 = b1 and (G v)_f1 = a1,
+    gcd(a1, b1, t) = content(G v) = div(v).
 
-    The transvections are applied in place to one running integer matrix and
-    to the running image; the composed matrix is validated as an `Isometry`
-    once, at the end, and `transvections` counts the non-trivial ones.
+    1. If a1 = b1 = 0, E(e1, c) makes a1 = -t != 0.
+    2. Make gcd(a1, b1) = 1.  If b1 = 0, E(f1, c) makes b1 = -t - (c^2/2) a1;
+       if that is 0, then c^2 != 0 and a second E(f1, c) makes b1 = -c^2 a1.
+       With b1 != 0, E(e1, lam c) sends a1 to a1 - lam t - lam^2 (c^2/2) b1
+       and keeps b1, so the new gcd is gcd(a1 - lam t, b1).  A prime of b1
+       not dividing t rules out one residue of lam; one dividing t rules out
+       every lam if it divides a1, else none.  So a good lam exists exactly
+       when gcd(a1, b1, t) = div(v) = 1, and then (Chinese remainders over
+       the primes of b1) one below rad(b1) <= |b1|.  div(v) > 1 is a divisor
+       obstruction and ends the stage without a search.  The stage takes at
+       most three passes, so its cap of 8 is only a guard.
+    3. 2x2 Smith reduction on Q = [[v.f1, v.e2], [-v.f2, v.e1]], that is
+       [[v_e1, v_f2], [-v_e2, v_f1]].  Adding q times one row or column of Q
+       to the other is the one transvection E(e_f, sign q e_a) of the table
+       `steps`; a swap (up to sign) is three steps.  Nearest-integer
+       quotients make Q diagonal with |Q_00| the gcd of its entries, 1 after
+       stage 2.  Once Q_00 != 0 (after at most two swaps) each swap makes
+       |Q_00| smaller and at most four other steps separate two swaps, so
+       the loop ends; its cap of 2000 steps is a guard, not this bound.
+    4. So v.f1 = +-1 and v is orthogonal to plane 2 exactly when div(v) = 1,
+       always on an even unimodular ambient.  Then one transvection clears
+       everything outside plane 1 and a negation fixes the sign (canonical).
+
+    The transvections act in place on one running matrix and on the running
+    image; the product is validated as an `Isometry` once, at the end.
+    `divisor` is the gcd of the four plane pairings after stage 3.
     """
     v = tuple(int(x) for x in v)
     if len(v) != n.rank:
@@ -504,161 +529,95 @@ def move_primitive_vector(v: Sequence[int], n: Lattice, pairs: HyperbolicPairs) 
     if n.norm(v) == 0:
         raise ValueError("vector must have nonzero norm")
 
-    e1i, f1i = pairs.first
-    e2i, f2i = pairs.second
-
-    def unit(i: int) -> Vector:
-        return n.basis_vector(i)
-
-    e1, f1, e2, f2 = unit(e1i), unit(f1i), unit(e2i), unit(f2i)
-
+    e1, f1 = pairs.first
+    e2, f2 = pairs.second
+    steps = {"row1": (e1, f2, 1), "row2": (f1, e2, -1), "col1": (e1, e2, -1), "col2": (f1, f2, 1)}
+    swap_rows = (("row1", 1), ("row2", -1), ("row1", 1))
+    swap_cols = (("col1", 1), ("col2", -1), ("col1", 1))
     columns = IntMatrix.identity(n.rank).tolists()
     cur = list(v)
     transvections = 0
 
-    def pairings(w):
-        return (n.pairing(w, f1), n.pairing(w, e1), n.pairing(w, f2), n.pairing(w, e2))
-
-    def complement_part(w):
-        # component of w outside the first plane, as a lattice vector
-        return tuple(0 if k in (e1i, f1i) else w[k] for k in range(n.rank))
-
-    def transvect(fvec, avec):
+    def transvect(f: int, a: Sequence[int]) -> None:
         nonlocal transvections
-        if all(x == 0 for x in avec):
-            return
-        _transvect_columns(columns + [cur], n.gram, fvec, avec)
-        transvections += 1
+        if any(a):
+            _transvect_columns(columns + [cur], n.gram, n.basis_vector(f), a)
+            transvections += 1
 
-    def content_move_vector(w):
-        """c in the complement of plane 1 with w.c = ideal generator, or None."""
-        k = complement_part(w)
-        rest_idx = [i for i in range(n.rank) if i not in (e1i, f1i)]
-        pair_values = [n.pairing(k, unit(i)) for i in rest_idx]
-        t, coeffs = bezout_combination(pair_values)
-        if t == 0:
-            return None, 0
-        c = [0] * n.rank
-        for ci, i in zip(coeffs, rest_idx):
-            c[i] = ci
-        return tuple(c), t
+    def add(step: str, q: int) -> None:
+        f, i, sign = steps[step]
+        transvect(f, [sign * q if k == i else 0 for k in range(n.rank)])
+
+    def complement_move() -> tuple[list[int], int]:
+        """(c, t): c outside plane 1 with cur.c = t = content of G (cur outside plane 1)."""
+        k = list(cur)
+        k[e1] = k[f1] = 0
+        t, c = bezout_combination(n.gram.apply(k))
+        return c, t
 
     # stage 1: ensure (v.f1, v.e1) != (0, 0)
-    a1, b1 = n.pairing(cur, f1), n.pairing(cur, e1)
-    if a1 == 0 and b1 == 0:
-        c0, t = content_move_vector(cur)
-        if c0 is None:
+    if cur[e1] == cur[f1] == 0:
+        c, t = complement_move()
+        if t == 0:
             raise ValueError("vector is orthogonal to everything outside plane 1")
-        transvect(e1, c0)
+        transvect(e1, c)
 
     # stage 2: make gcd(v.f1, v.e1) = 1
     for _ in range(8):
-        a1, b1 = n.pairing(cur, f1), n.pairing(cur, e1)
+        a1, b1 = cur[e1], cur[f1]
         if gcd(a1, b1) == 1:
             break
-        c0, t = content_move_vector(cur)
-        if c0 is None:
+        c, t = complement_move()
+        if t == 0:
             raise ValueError("primitive vector with trivial complement should have coprime plane pairings")
         if b1 == 0:
-            transvect(f1, c0)
-            if n.pairing(cur, e1) == 0:
-                transvect(f1, c0)
+            transvect(f1, c)
+            if cur[f1] == 0:
+                transvect(f1, c)
             continue
-        c0sq = n.norm(c0)
-        found = None
-        for lam in range(2 * abs(b1) + 3):
-            cand = a1 - lam * t - (lam * lam * c0sq // 2) * b1
-            if gcd(cand, b1) == 1:
-                found = lam
-                break
-        if found is None:
-            break  # divisor obstruction (non-unimodular ambient)
-        transvect(e1, tuple(found * x for x in c0))
-    a1, b1, a2, b2 = pairings(cur)
+        if gcd(a1, b1, t) != 1:
+            break  # divisor obstruction: div(v) > 1 (non-unimodular ambient)
+        lam = next((lam for lam in range(abs(b1)) if gcd(a1 - lam * t, b1) == 1), None)
+        if lam is None:
+            raise AssertionError("no coprime lambda below |v.e1| although div(v) = 1")
+        transvect(e1, [lam * x for x in c])
 
-    # stage 3: 2x2 Smith reduction on Q = [[v.f1, v.e2], [-v.f2, v.e1]].
-    # The four elementary integer row/column additions on Q are realized by
-    # exactly one transvection each:
-    #   row1 += q*row2 : E(e1, q f2)    row2 += q*row1 : E(f1, -q e2)
-    #   col1 += q*col2 : E(e1, -q e2)   col2 += q*col1 : E(f1, q f2)
-    # so ordinary 2x2 SNF (swaps emulated as three additions, nearest-integer
-    # quotients) drives v.f1 to +-gcd of the four plane pairings, which is
-    # +-1 once stage 2 succeeded.
-    def q_state():
-        a1_, b1_, a2_, b2_ = pairings(cur)
-        return a1_, b2_, -a2_, b1_
-
-    def row1_add(lam):
-        transvect(e1, tuple(lam * x for x in f2))
-
-    def row2_add(lam):
-        transvect(f1, tuple(-lam * x for x in e2))
-
-    def col1_add(lam):
-        transvect(e1, tuple(-lam * x for x in e2))
-
-    def col2_add(lam):
-        transvect(f1, tuple(lam * x for x in f2))
-
-    def rotate_cols():
-        col1_add(1)
-        col2_add(-1)
-        col1_add(1)
-
-    def rotate_rows():
-        row1_add(1)
-        row2_add(-1)
-        row1_add(1)
-
-    def nearest_quot(a, b):
-        q, r = divmod(a, b)
-        if 2 * abs(r) > abs(b):
-            q += 1
-        return q
-
+    # stage 3: 2x2 Smith reduction on Q
     for _ in range(2000):
-        q00, q01, q10, q11 = q_state()
-        if q01 != 0:
-            if q00 == 0 or abs(q00) > abs(q01):
-                rotate_cols()
+        q00, q01, q10, q11 = cur[e1], cur[f2], -cur[e2], cur[f1]
+        if q01 != 0 or q10 != 0:  # clear Q_01 first, then Q_10
+            off, swap, reduction = (q01, swap_cols, "col2") if q01 else (q10, swap_rows, "row2")
+            if q00 == 0 or abs(q00) > abs(off):
+                moves = swap
             else:
-                col2_add(-nearest_quot(q01, q00))
-            continue
-        if q10 != 0:
-            if q00 == 0 or abs(q00) > abs(q10):
-                rotate_rows()
-            else:
-                row2_add(-nearest_quot(q10, q00))
-            continue
-        if q00 == 0 and q11 != 0:
-            rotate_rows()
-            continue
-        if q00 == 0 or q11 == 0 or q11 % q00 == 0:
+                moves = ((reduction, -_nearest_quotient(off, q00)),)
+        elif q00 == 0 and q11 != 0:
+            moves = swap_rows
+        elif q00 == 0 or q11 == 0 or q11 % q00 == 0:
             break
-        row1_add(1)  # fold the second diagonal entry in to repair divisibility
+        else:
+            moves = (("row1", 1),)  # fold the second diagonal entry in to repair divisibility
+        for step, q in moves:
+            add(step, q)
     else:
         raise AssertionError("2x2 Smith reduction did not terminate")
 
-    a1, b1, a2, b2 = pairings(cur)
-    divisor = gcd(gcd(a1, b1), gcd(a2, b2))
-
-    canonical = False
-    if a1 in (1, -1) and a2 == 0 and b2 == 0:
+    divisor = gcd(cur[e1], cur[f1], cur[e2], cur[f2])
+    canonical = cur[e1] in (1, -1) and cur[e2] == cur[f2] == 0
+    if canonical:
         # finisher: clear everything outside plane 1, then fix signs
-        k = complement_part(cur)
-        transvect(f1, tuple(-a1 * x for x in k))
-        a1 = n.pairing(cur, f1)
-        if a1 == -1:
+        a1 = cur[e1]
+        transvect(f1, [0 if k in (e1, f1) else -a1 * x for k, x in enumerate(cur)])
+        if cur[e1] == -1:
             for col in columns + [cur]:
                 col[:] = [-x for x in col]
-        canonical = True
 
     cur = tuple(cur)
-    expected = tuple(
-        (1 if k == e1i else (n.norm(v) // 2 if k == f1i else 0)) for k in range(n.rank))
-    if canonical and cur != expected:
+    expected = [0] * n.rank
+    expected[e1], expected[f1] = 1, n.norm(v) // 2
+    if canonical and cur != tuple(expected):
         raise AssertionError("canonicalization reached an unexpected representative")
     g = Isometry(n, IntMatrix.from_columns(columns, n.rank))
     if g.apply(v) != cur:
         raise AssertionError("isometry does not witness the move")
-    return MoveResult(g, cur, canonical, abs(divisor) if divisor else 0, transvections)
+    return MoveResult(g, cur, canonical, divisor, transvections)
