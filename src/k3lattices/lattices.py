@@ -516,7 +516,7 @@ def move_primitive_vector(v: Sequence[int], n: Lattice, pairs: HyperbolicPairs) 
 
     The transvections act in place on one running matrix and on the running
     image; the product is validated as an `Isometry` once, at the end.
-    `divisor` is the gcd of the four plane pairings after stage 3.
+    `divisor` is div(v) = content(G v), which isometries preserve.
     """
     v = tuple(int(x) for x in v)
     if len(v) != n.rank:
@@ -529,6 +529,7 @@ def move_primitive_vector(v: Sequence[int], n: Lattice, pairs: HyperbolicPairs) 
     if n.norm(v) == 0:
         raise ValueError("vector must have nonzero norm")
 
+    divisor = content(n.gram.apply(v))
     e1, f1 = pairs.first
     e2, f2 = pairs.second
     steps = {"row1": (e1, f2, 1), "row2": (f1, e2, -1), "col1": (e1, e2, -1), "col2": (f1, f2, 1)}
@@ -575,8 +576,8 @@ def move_primitive_vector(v: Sequence[int], n: Lattice, pairs: HyperbolicPairs) 
             if cur[f1] == 0:
                 transvect(f1, c)
             continue
-        if gcd(a1, b1, t) != 1:
-            break  # divisor obstruction: div(v) > 1 (non-unimodular ambient)
+        if divisor != 1:
+            break  # divisor obstruction: gcd(a1, b1, t) = div(v) > 1
         lam = next((lam for lam in range(abs(b1)) if gcd(a1 - lam * t, b1) == 1), None)
         if lam is None:
             raise AssertionError("no coprime lambda below |v.e1| although div(v) = 1")
@@ -602,7 +603,6 @@ def move_primitive_vector(v: Sequence[int], n: Lattice, pairs: HyperbolicPairs) 
     else:
         raise AssertionError("2x2 Smith reduction did not terminate")
 
-    divisor = gcd(cur[e1], cur[f1], cur[e2], cur[f2])
     canonical = cur[e1] in (1, -1) and cur[e2] == cur[f2] == 0
     if canonical:
         # finisher: clear everything outside plane 1, then fix signs
