@@ -30,12 +30,11 @@ class IntMatrix:
 
     def __init__(self, entries: Sequence[Sequence[int]], cols: int | None = None):
         data = tuple(tuple(int(x) for x in row) for row in entries)
-        if data:
-            width = len(data[0])
-            if any(len(row) != width for row in data):
-                raise ValueError("ragged rows")
-        else:
-            width = 0 if cols is None else cols
+        width = len(data[0]) if data else (cols or 0)
+        if any(len(row) != width for row in data):
+            raise ValueError("ragged rows")
+        if cols is not None and cols != width:
+            raise ValueError(f"rows have {width} columns, not {cols}")
         self.rows = len(data)
         self.cols = width
         self._entries = data
@@ -152,6 +151,8 @@ class RatMatrix:
         self.entries = [[Fraction(x) for x in row] for row in entries]
         self.rows = len(self.entries)
         self.cols = len(self.entries[0]) if self.entries else 0
+        if any(len(row) != self.cols for row in self.entries):
+            raise ValueError("ragged rows")
 
     @classmethod
     def from_int(cls, m: IntMatrix) -> "RatMatrix":

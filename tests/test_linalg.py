@@ -587,6 +587,18 @@ def test_from_columns_rejects_ragged_or_wrong_length_columns():
     assert IntMatrix.from_columns([], 3) == IntMatrix.zero(3, 0)
 
 
+def test_constructors_reject_ragged_rows_and_wrong_column_counts():
+    with pytest.raises(ValueError, match="ragged rows"):
+        RatMatrix([[1, 2], [3]])
+    with pytest.raises(ValueError, match="ragged rows"):
+        IntMatrix([[1, 2], [3]])
+    with pytest.raises(ValueError, match="rows have 2 columns, not 5"):
+        IntMatrix([[1, 2]], cols=5)
+    assert IntMatrix([[1, 2]], cols=2).cols == 2
+    assert IntMatrix([], cols=5).cols == 5
+    assert RatMatrix([[1, 2], [3, 4]]).cols == 2
+
+
 def test_rational_apply_rejects_wrong_vector_length():
     m = RatMatrix([[1, 2]])
     with pytest.raises(ValueError, match="vector length mismatch"):
