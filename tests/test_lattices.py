@@ -3,7 +3,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 import pytest
@@ -736,6 +736,68 @@ def test_move_validates_once_with_two_products(monkeypatch):
     assert res.canonical and res.transvections > 0
     assert calls.count("isometry") == 1
     assert calls.count("matmul") <= 2
+
+
+def _counting_gcd(monkeypatch):
+    calls = []
+    original = lattices_module.gcd
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(lattices_module, "gcd", counted)
+    return calls
+
+
+def test_move_stops_at_a_divisor_obstruction_without_a_search(monkeypatch):
+    # zero on plane 1 and divisor 2: after stage 1, v.e1 = 65,951,772 and
+    # gcd(v.f1, v.e1, t) = 2, so no lambda can make the plane pairings coprime
+    v = (558, 504, -312, 66, 554, 168, 278, 284, -138, 410, -4, 382, 176, 186, -276, -68, 0, 0, -86, 250, 1)
+    lat = l_d(2)
+    calls = _counting_gcd(monkeypatch)
+    res = move_primitive_vector(v, lat, HyperbolicPairs((16, 17), (18, 19)))
+    assert len(calls) < 20
+    assert (res.transvections, res.divisor, res.canonical) == (4, 2, False)
+    assert res.isometry.apply(v) == res.image
+
+
+def test_move_divisor_is_content_of_gram_image():
+    # the four plane pairings end with gcd 4 here, but div(v) = content(G v) = 2
+    v = (4, -2, -10, -8, -18, 2, 14, 10, -14, 2, 16, -16, 6, -8, 10, 8, -8, -8, -4, -16, 1)
+    lat = l_d(5)
+    res = move_primitive_vector(v, lat, HyperbolicPairs((16, 17), (18, 19)))
+    assert content(lat.gram.apply(v)) == res.divisor == 2
+    assert gcd(*(res.image[i] for i in (16, 17, 18, 19))) == 4
+    assert not res.canonical
+
+
+def test_move_seeded_divisor_two_vectors_of_l_d(monkeypatch):
+    rng = random.Random(211)
+    pairs = HyperbolicPairs((16, 17), (18, 19))
+    calls = _counting_gcd(monkeypatch)
+    for case in range(200):
+        lat = l_d(rng.randint(1, 12))
+        bound = 10 ** rng.randint(1, 6)
+        # every coordinate but the <2d> one even, so 2 divides div(v)
+        v = [2 * rng.randint(-bound, bound) for _ in range(20)] + [2 * rng.randint(-bound, bound) + 1]
+        if case % 3 == 0:
+            v[16] = v[17] = 0
+        if lat.norm(v) == 0:
+            continue
+        calls.clear()
+        res = move_primitive_vector(v, lat, pairs)
+        assert len(calls) < 20
+        assert res.isometry.apply(v) == res.image
+        assert res.divisor == content(lat.gram.apply(v)) and res.divisor % 2 == 0
+        assert not res.canonical
+
+
+def test_move_rejects_marked_planes_that_pair_with_each_other():
+    rows = U2E8.gram.tolists()
+    rows[0][2] = rows[2][0] = 2
+    with pytest.raises(ValueError, match="not orthogonal to the rest"):
+        move_primitive_vector((1, -1) + (0,) * 10, Lattice(12, IntMatrix(rows)), U2E8_PAIRS)
 
 
 def test_isometry_rejects_perturbed_and_non_unimodular_matrices():
