@@ -458,11 +458,10 @@ def _check_marked_planes(n: Lattice, pairs: HyperbolicPairs) -> None:
     """Each marked (e, f) spans a standard U orthogonal to all other basis vectors."""
     if len(set(pairs.all_indices())) != 4:
         raise ValueError("hyperbolic pair indices must be distinct")
-    for plane in (pairs.first, pairs.second):
-        e, f = plane
+    for e, f in (pairs.first, pairs.second):
         if not (n.gram[e, e] == 0 and n.gram[f, f] == 0 and n.gram[e, f] == 1):
-            raise ValueError(f"columns {plane} do not span a standard U-summand")
-        if any(n.gram[i, k] for i in plane for k in range(n.rank) if k not in plane):
+            raise ValueError(f"columns {(e, f)} do not span a standard U-summand")
+        if any(n.gram[i, k] for i in (e, f) for k in range(n.rank) if k not in (e, f)):
             raise ValueError("marked U-summands are not orthogonal to the rest")
 
 
@@ -492,16 +491,17 @@ def move_primitive_vector(v: Sequence[int], n: Lattice, pairs: HyperbolicPairs) 
     gcd(a1, b1, t) = content(G v) = div(v).
 
     1. If a1 = b1 = 0, E(e1, c) makes a1 = -t != 0.
-    2. Make gcd(a1, b1) = 1.  If b1 = 0, E(f1, c) makes b1 = -t - (c^2/2) a1;
-       if that is 0, then c^2 != 0 and a second E(f1, c) makes b1 = -c^2 a1.
+    2. Make gcd(a1, b1) = 1.  If b1 = 0 (so a1 != 0), E(f1, c) makes
+       b1 = -t - (c^2/2) a1; if that is 0, then c^2 != 0 and a second
+       E(f1, c) makes b1 = -c^2 a1 != 0.
        With b1 != 0, E(e1, lam c) sends a1 to a1 - lam t - lam^2 (c^2/2) b1
        and keeps b1, so the new gcd is gcd(a1 - lam t, b1).  A prime of b1
        not dividing t rules out one residue of lam; one dividing t rules out
        every lam if it divides a1, else none.  So a good lam exists exactly
        when gcd(a1, b1, t) = div(v) = 1, and then (Chinese remainders over
        the primes of b1) one below rad(b1) <= |b1|.  div(v) > 1 is a divisor
-       obstruction and ends the stage without a search.  The stage takes at
-       most three passes, so its cap of 8 is only a guard.
+       obstruction and ends the stage without a search.  The stage ends
+       within three passes, so its cap of 8 is only a guard.
     3. 2x2 Smith reduction on Q = [[v.f1, v.e2], [-v.f2, v.e1]], that is
        [[v_e1, v_f2], [-v_e2, v_f1]].  Adding q times one row or column of Q
        to the other is the one transvection E(e_f, sign q e_a) of the table
