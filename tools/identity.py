@@ -1,17 +1,18 @@
 """Differential harness: the same seeded inputs through two k3lattices trees.
 
-    python tools/identity.py LEFT_SRC RIGHT_SRC [--cases N] [--seed S]
-                             [--timeout SEC] [--function NAME ...]
+    python tools/identity.py LEFT_SRC RIGHT_SRC [--cases N] [--timeout SEC]
 
 LEFT_SRC and RIGHT_SRC are `src/` directories (for example a checkout of the
 parent commit and the working tree).  Each is loaded under its own package
 name with `importlib`, so both live in one process.  For each function the
-harness draws seeded inputs, runs them through both trees, and prints one
-SHA-256 digest per side over the outputs of the cases that both sides
+harness draws inputs from seed 21, runs them through both trees, and prints
+one SHA-256 digest per side over the outputs of the cases that both sides
 finished, the number of cases whose outputs differ, and the cases that a side
 did not finish within `--timeout` seconds (a per-case alarm, so a hang is
-listed, not waited for).  An exception is an output: its type and message
-are digested like a return value.  The exit status is 1 if any case differs.
+listed, not waited for).  The indices of the skipped cases are digested too,
+so a digest that moved because a case crossed the timeout shows a different
+skip list next to it.  An exception is an output: its type and message are
+digested like a return value.  The exit status is 1 if any case differs.
 
 Functions and their inputs:
 - `move_primitive_vector`: primitive vectors of nonzero norm in Λ, L_1…L_12
@@ -53,6 +54,8 @@ def load_tree(src: Path, name: str):
 
 # ---------------------------------------------------------------------------
 # seeded inputs: plain data, so that each tree builds its own objects
+
+SEED = 21
 
 MARKED = {"k3": ((16, 17), (18, 19)), "l_d": ((16, 17), (18, 19)), "u2e8": ((0, 1), (2, 3))}
 
@@ -148,23 +151,26 @@ def run_case(run, pkg, case, timeout: float):
         signal.signal(signal.SIGALRM, previous)
 
 
-def compare(name: str, trees, cases_per_function: int, seed: int, timeout: float) -> bool:
+def compare(name: str, trees, cases_per_function: int, timeout: float) -> bool:
     make_cases, run, scale = FUNCTIONS[name]
-    cases = make_cases(random.Random(f"{seed}:{name}"), int(cases_per_function * scale), trees[0])
+    cases = make_cases(random.Random(f"{SEED}:{name}"), int(cases_per_function * scale), trees[0])
     results, seconds = [], []
     for pkg in trees:
         start = time.perf_counter()
         results.append([run_case(run, pkg, case, timeout) for case in cases])
         seconds.append(time.perf_counter() - start)
     digests = [hashlib.sha256() for _ in trees]
-    finished = differ = 0
-    for left, right in zip(*results):
+    skipped, finished, differ = [], 0, 0
+    for i, (left, right) in enumerate(zip(*results)):
         if "timeout" in (left[0], right[0]):
+            skipped.append(i)
             continue
         finished += 1
         differ += left != right
         for digest, outcome in zip(digests, (left, right)):
             digest.update(repr(outcome).encode())
+    for digest in digests:
+        digest.update(repr(skipped).encode())
     print(f"{name:<22} cases {len(cases):>5}  both finished {finished:>5}  differ {differ:>3}  "
           f"left {digests[0].hexdigest()[:16]} ({seconds[0]:.1f} s)  "
           f"right {digests[1].hexdigest()[:16]} ({seconds[1]:.1f} s)")
@@ -181,14 +187,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("right", type=Path, help="src/ directory of the second tree")
     parser.add_argument("--cases", type=int, default=1000,
                         help="cases for move_primitive_vector; twice as many matrices (default 1000)")
-    parser.add_argument("--seed", type=int, default=21)
-    parser.add_argument("--timeout", type=float, default=3.0, help="seconds per case and side (default 3)")
-    parser.add_argument("--function", action="append", choices=sorted(FUNCTIONS),
-                        help="compare only this function (repeatable)")
+    parser.add_argument("--timeout", type=float, default=10.0, help="seconds per case and side (default 10)")
     args = parser.parse_args(argv)
     trees = [load_tree(args.left, "identity_left"), load_tree(args.right, "identity_right")]
-    names = args.function or list(FUNCTIONS)
-    same = [compare(name, trees, args.cases, args.seed, args.timeout) for name in names]
+    same = [compare(name, trees, args.cases, args.timeout) for name in FUNCTIONS]
     return 0 if all(same) else 1
 
 
