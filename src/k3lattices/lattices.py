@@ -509,7 +509,8 @@ def move_primitive_vector(v: Sequence[int], n: Lattice, pairs: HyperbolicPairs) 
        quotients make Q diagonal with |Q_00| the gcd of its entries, 1 after
        stage 2.  Once Q_00 != 0 (after at most two swaps) each swap makes
        |Q_00| smaller and at most four other steps separate two swaps, so
-       the loop ends; its cap of 2000 steps is a guard, not this bound.
+       the loop ends, but its cap of 2000 passes limits input size: no
+       bound in the bit length is proved, and ~2,500-bit vectors raise.
     4. So v.f1 = +-1 and v is orthogonal to plane 2 exactly when div(v) = 1,
        always on an even unimodular ambient.  Then one transvection clears
        everything outside plane 1 and a negation fixes the sign (canonical).
