@@ -19,6 +19,9 @@ Functions and their inputs:
   and U²⊕E8, coordinates up to 10⁶, with divisor-2 vectors of L_d and vectors
   that are zero on the first marked plane among them.  The output is
   (transvections, divisor, canonical, image, isometry rows).
+- `move_long_coordinates`: the same function on primitive vectors of Λ and
+  L_1…L_12 with coordinates of 500 to 2,000 bits, where the 2x2 stage of the
+  move takes hundreds to thousands of passes; 20 cases at `--cases 1000`.
 - `smith_normal_form`: integer matrices up to 7×8, with zero rows and
   columns and rank-deficient ones.  The output is (u, d, v).
 - `_smith_mod`: the same matrices at moduli including 1.  The output is the
@@ -94,6 +97,20 @@ def run_move(pkg, case):
     return (res.transvections, res.divisor, res.canonical, res.image, res.isometry.matrix.tolists())
 
 
+def long_move_cases(rng: random.Random, count: int, pkg) -> list:
+    """(kind, d, v) with v primitive of nonzero norm and 500- to 2,000-bit coordinates."""
+    cases = []
+    while len(cases) < count:
+        kind = rng.choice(("k3", "l_d"))
+        d = rng.randint(1, 12) if kind == "l_d" else 0
+        lat = build_lattice(pkg, kind, d)
+        bits = rng.randint(500, 2000)
+        v = [rng.getrandbits(bits) * rng.choice((1, -1)) for _ in range(lat.rank)]
+        if pkg.linalg.content(v) == 1 and lat.norm(v) != 0:
+            cases.append((kind, d, tuple(v)))
+    return cases
+
+
 def matrix_cases(rng: random.Random, count: int, pkg) -> list:
     cases = []
     for _ in range(count):
@@ -126,6 +143,7 @@ def run_smith_mod(pkg, case):
 
 FUNCTIONS = {
     "move_primitive_vector": (move_cases, run_move, 1.0),
+    "move_long_coordinates": (long_move_cases, run_move, 0.02),
     "smith_normal_form": (matrix_cases, run_snf, 2.0),
     "_smith_mod": (smith_mod_cases, run_smith_mod, 2.0),
 }
@@ -153,7 +171,7 @@ def run_case(run, pkg, case, timeout: float):
 
 def compare(name: str, trees, cases_per_function: int, timeout: float) -> bool:
     make_cases, run, scale = FUNCTIONS[name]
-    cases = make_cases(random.Random(f"{SEED}:{name}"), int(cases_per_function * scale), trees[0])
+    cases = make_cases(random.Random(f"{SEED}:{name}"), max(1, round(cases_per_function * scale)), trees[0])
     results, seconds = [], []
     for pkg in trees:
         start = time.perf_counter()
@@ -189,6 +207,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="cases for move_primitive_vector; twice as many matrices (default 1000)")
     parser.add_argument("--timeout", type=float, default=10.0, help="seconds per case and side (default 10)")
     args = parser.parse_args(argv)
+    sys.set_int_max_str_digits(0)  # outputs of long-coordinate moves have more than 4,300 digits
     trees = [load_tree(args.left, "identity_left"), load_tree(args.right, "identity_right")]
     same = [compare(name, trees, args.cases, args.timeout) for name in FUNCTIONS]
     return 0 if all(same) else 1
