@@ -504,19 +504,21 @@ def move_primitive_vector(v: Sequence[int], n: Lattice, pairs: HyperbolicPairs) 
        within three passes, so its cap of 8 is only a guard.
     3. 2x2 Smith reduction on Q = [[v.f1, v.e2], [-v.f2, v.e1]], that is
        [[v_e1, v_f2], [-v_e2, v_f1]].  Adding q times one row or column of Q
-       to the other is the one transvection E(e_f, sign q e_a) of the table
-       `steps`; a swap (up to sign) is three steps.  Nearest-integer
-       quotients make Q diagonal with |Q_00| the gcd of its entries, 1 after
-       stage 2.  Once Q_00 != 0 (after at most two swaps) each swap makes
-       |Q_00| smaller and at most four other steps separate two swaps, so
-       the loop ends, but its cap of 2000 passes limits input size: no
-       bound in the bit length is proved, and ~2,500-bit vectors raise.
+       to the other is the one transvection E(e_f, s q e_i) of the table
+       `steps`: as a^2 = 0, x.e_f = x_f' and x.a = s q x_i' (' is the plane
+       partner), it adds s q x_f' to x_i and -s q x_i' to x_f, so the stage
+       runs on the four plane rows of [matrix | image].  A swap (up to sign)
+       is three steps.  Nearest-integer quotients make Q diagonal with
+       |Q_00| the gcd of its entries, 1 after stage 2.  Once Q_00 != 0
+       (after at most two swaps) each swap makes |Q_00| smaller and at most
+       four other steps separate two swaps, so the loop ends, but its cap of
+       2000 passes limits input size: no bound in the bit length is proved,
+       and ~2,500-bit vectors raise.
     4. So v.f1 = +-1 and v is orthogonal to plane 2 exactly when div(v) = 1,
        always on an even unimodular ambient.  Then one transvection clears
        everything outside plane 1 and a negation fixes the sign (canonical).
 
-    The transvections act in place on one running matrix and on the running
-    image; the product is validated as an `Isometry` once, at the end.
+    The composed product is validated as an `Isometry` once, at the end.
     `divisor` is div(v) = content(G v), which isometries preserve.
     """
     v = tuple(int(x) for x in v)
@@ -545,10 +547,6 @@ def move_primitive_vector(v: Sequence[int], n: Lattice, pairs: HyperbolicPairs) 
         if any(a):
             _transvect_columns(columns + [cur], n.gram, n.basis_vector(f), a)
             transvections += 1
-
-    def add(step: str, q: int) -> None:
-        f, i, sign = steps[step]
-        transvect(f, [sign * q if k == i else 0 for k in range(n.rank)])
 
     def complement_move() -> tuple[list[int], int]:
         """(c, t): c outside plane 1 with cur.c = t = content of G (cur outside plane 1)."""
@@ -584,9 +582,11 @@ def move_primitive_vector(v: Sequence[int], n: Lattice, pairs: HyperbolicPairs) 
             raise AssertionError("no coprime lambda below |v.e1| although div(v) = 1")
         transvect(e1, [lam * x for x in c])
 
-    # stage 3: 2x2 Smith reduction on Q
+    # stage 3: 2x2 Smith reduction on Q, on the plane rows of [columns | cur]
+    partner = {e1: f1, f1: e1, e2: f2, f2: e2}
+    rows = {k: [col[k] for col in columns] + [cur[k]] for k in partner}
     for _ in range(2000):
-        q00, q01, q10, q11 = cur[e1], cur[f2], -cur[e2], cur[f1]
+        q00, q01, q10, q11 = rows[e1][-1], rows[f2][-1], -rows[e2][-1], rows[f1][-1]
         if q01 != 0 or q10 != 0:  # clear Q_01 first, then Q_10
             off, swap, reduction = (q01, swap_cols, "col2") if q01 else (q10, swap_rows, "row2")
             if q00 == 0 or abs(q00) > abs(off):
@@ -600,9 +600,15 @@ def move_primitive_vector(v: Sequence[int], n: Lattice, pairs: HyperbolicPairs) 
         else:
             moves = (("row1", 1),)  # fold the second diagonal entry in to repair divisibility
         for step, q in moves:
-            add(step, q)
+            f, i, sign = steps[step]
+            rows[i] = [x + sign * q * y for x, y in zip(rows[i], rows[partner[f]])]
+            rows[f] = [x - sign * q * y for x, y in zip(rows[f], rows[partner[i]])]
+            transvections += q != 0
     else:
         raise AssertionError("2x2 Smith reduction did not terminate")
+    for k, row in rows.items():
+        for col, x in zip(columns + [cur], row):
+            col[k] = x
 
     canonical = cur[e1] in (1, -1) and cur[e2] == cur[f2] == 0
     if canonical:

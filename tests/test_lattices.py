@@ -800,6 +800,28 @@ def test_move_rejects_marked_planes_that_pair_with_each_other():
         move_primitive_vector((1, -1) + (0,) * 10, Lattice(12, IntMatrix(rows)), U2E8_PAIRS)
 
 
+@pytest.mark.parametrize("lat, pairs", [(k3_lattice(), HyperbolicPairs((16, 17), (18, 19))),
+                                        (l_d(5), HyperbolicPairs((16, 17), (18, 19))),
+                                        (U2E8, U2E8_PAIRS)])
+def test_plane_step_transvection_changes_two_rows(lat, pairs):
+    # Stage 3 of the move runs the step E(e_f, s q e_i), f and i on different
+    # marked planes, as row i += s q (row f') and row f -= s q (row i'), where
+    # ' is the partner in the plane; every other row stays.
+    rng = random.Random(223)
+    (e1, f1), (e2, f2) = pairs.first, pairs.second
+    partner = {e1: f1, f1: e1, e2: f2, f2: e2}
+    steps = [(e1, f2, 1), (f1, e2, -1), (e1, e2, -1), (f1, f2, 1)]
+    rows = [[rng.randint(-10 ** 6, 10 ** 6) for _ in range(9)] for _ in range(lat.rank)]
+    for f, i, s in steps:
+        for q in (1, -1, 7, -7, 2 ** 300, -2 ** 300):
+            a = [s * q if k == i else 0 for k in range(lat.rank)]
+            moved = (eichler_transvection(lat.basis_vector(f), a, lat).matrix @ IntMatrix(rows)).tolists()
+            expected = [list(row) for row in rows]
+            expected[i] = [x + s * q * y for x, y in zip(rows[i], rows[partner[f]])]
+            expected[f] = [x - s * q * y for x, y in zip(rows[f], rows[partner[i]])]
+            assert moved == expected
+
+
 def test_isometry_rejects_perturbed_and_non_unimodular_matrices():
     lam = k3_lattice()
     g = move_primitive_vector(tuple(range(-10, 12)), lam, HyperbolicPairs((16, 17), (18, 19))).isometry
