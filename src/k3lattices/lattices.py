@@ -507,13 +507,23 @@ def move_primitive_vector(v: Sequence[int], n: Lattice, pairs: HyperbolicPairs) 
        to the other is the one transvection E(e_f, s q e_i) of the table
        `steps`: as a^2 = 0, x.e_f = x_f' and x.a = s q x_i' (' is the plane
        partner), it adds s q x_f' to x_i and -s q x_i' to x_f, so the stage
-       runs on the four plane rows of [matrix | image].  A swap (up to sign)
-       is three steps.  Nearest-integer quotients make Q diagonal with
-       |Q_00| the gcd of its entries, 1 after stage 2.  Once Q_00 != 0
-       (after at most two swaps) each swap makes |Q_00| smaller and at most
-       four other steps separate two swaps, so the loop ends, but its cap of
-       2000 passes limits input size: no bound in the bit length is proved,
-       and ~2,500-bit vectors raise.
+       runs on the four plane rows of [matrix | image].  A pass reduces Q_01
+       (else Q_10) by a nearest multiple of Q_00, swaps it (three steps) into
+       Q_00 when smaller or Q_00 = 0, or folds row 1 into row 0 when Q is
+       diagonal and Q_00 does not divide Q_11, so Q ends diagonal with |Q_00|
+       the gcd of its entries, 1 after stage 2.  Cap: entries only move until
+       Q_00 != 0 (two swaps); then 0 < |Q_00| < 2^B, B the bit length of the
+       largest plane coordinate, no pass grows it, each swap shrinks it, and
+       a swap right after reducing the entry it brings in halves it (at most
+       B - 1 times).  A column (row) swap makes Q_01 (Q_10) = -old Q_00, so a
+       column reduction follows, and the next row swap halves (column passes
+       keep Q_10).  Other swaps are the first, a row swap right after a column
+       reduction, and a column swap right after a row swap or fold on
+       [[a, 0], [b, d]] or [[a, 0], [0, d]], leaving [[d, -b], [0, a]] or
+       [[d, -a], [d, 0]] with |d| < |a|, so the next swap halves or the loop
+       ends.  Runs of them are at most two long (three for the first), so at
+       most 3B + 2 swaps, each after at most four other passes (reduce Q_01,
+       reduce Q_10, fold, reduce Q_01), and two before the last: 15B + 13.
     4. So v.f1 = +-1 and v is orthogonal to plane 2 exactly when div(v) = 1,
        always on an even unimodular ambient.  Then one transvection clears
        everything outside plane 1 and a negation fixes the sign (canonical).
@@ -585,7 +595,8 @@ def move_primitive_vector(v: Sequence[int], n: Lattice, pairs: HyperbolicPairs) 
     # stage 3: 2x2 Smith reduction on Q, on the plane rows of [columns | cur]
     partner = {e1: f1, f1: e1, e2: f2, f2: e2}
     rows = {k: [col[k] for col in columns] + [cur[k]] for k in partner}
-    for _ in range(2000):
+    bits = max(abs(cur[k]).bit_length() for k in partner)
+    for _ in range(15 * bits + 13):
         q00, q01, q10, q11 = rows[e1][-1], rows[f2][-1], -rows[e2][-1], rows[f1][-1]
         if q01 != 0 or q10 != 0:  # clear Q_01 first, then Q_10
             off, swap, reduction = (q01, swap_cols, "col2") if q01 else (q10, swap_rows, "row2")

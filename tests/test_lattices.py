@@ -822,6 +822,22 @@ def test_plane_step_transvection_changes_two_rows(lat, pairs):
             assert moved == expected
 
 
+def test_move_canonicalizes_vectors_of_thousands_of_bits():
+    # 2,600 and 3,000 bits: the old fixed cap of 2000 stage-3 passes raised here
+    rng = random.Random(9)
+    lam = k3_lattice()
+    for bits in (2600, 3000):
+        while True:
+            v = tuple(rng.getrandbits(bits) * rng.choice((1, -1)) for _ in range(22))
+            if content(v) == 1 and lam.norm(v) != 0:
+                break
+        res = move_primitive_vector(v, lam, HyperbolicPairs((16, 17), (18, 19)))
+        expected = [0] * 22
+        expected[16], expected[17] = 1, lam.norm(v) // 2
+        assert res.canonical and res.image == tuple(expected)
+        assert res.isometry.apply(v) == res.image
+
+
 def test_isometry_rejects_perturbed_and_non_unimodular_matrices():
     lam = k3_lattice()
     g = move_primitive_vector(tuple(range(-10, 12)), lam, HyperbolicPairs((16, 17), (18, 19))).isometry
