@@ -458,6 +458,9 @@ def _check_marked_planes(n: Lattice, pairs: HyperbolicPairs) -> None:
     """Each marked (e, f) spans a standard U orthogonal to all other basis vectors."""
     if len(set(pairs.all_indices())) != 4:
         raise ValueError("hyperbolic pair indices must be distinct")
+    for i in pairs.all_indices():
+        if not 0 <= i < n.rank:
+            raise ValueError(f"marked index {i} is outside 0..{n.rank - 1}")
     for e, f in (pairs.first, pairs.second):
         if not (n.gram[e, e] == 0 and n.gram[f, f] == 0 and n.gram[e, f] == 1):
             raise ValueError(f"columns {(e, f)} do not span a standard U-summand")

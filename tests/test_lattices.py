@@ -800,6 +800,13 @@ def test_move_rejects_marked_planes_that_pair_with_each_other():
         move_primitive_vector((1, -1) + (0,) * 10, Lattice(12, IntMatrix(rows)), U2E8_PAIRS)
 
 
+@pytest.mark.parametrize("pairs, index", [(((16, 17), (18, 40)), 40), (((-6, -5), (18, 19)), -6)])
+def test_move_rejects_marked_indices_outside_the_basis(pairs, index):
+    # -6 and -5 would alias 16 and 17 as Python indices
+    with pytest.raises(ValueError, match=f"marked index {index} is outside 0..21"):
+        move_primitive_vector(tuple(range(-10, 12)), k3_lattice(), HyperbolicPairs(*pairs))
+
+
 @pytest.mark.parametrize("lat, pairs", [(k3_lattice(), HyperbolicPairs((16, 17), (18, 19))),
                                         (l_d(5), HyperbolicPairs((16, 17), (18, 19))),
                                         (U2E8, U2E8_PAIRS)])
