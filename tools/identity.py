@@ -171,7 +171,7 @@ def run_case(run, pkg, case, timeout: float):
 
 def compare(name: str, trees, cases_per_function: int, timeout: float) -> bool:
     make_cases, run, scale = FUNCTIONS[name]
-    cases = make_cases(random.Random(f"{SEED}:{name}"), max(1, round(cases_per_function * scale)), trees[0])
+    cases = make_cases(random.Random(f"{SEED}:{name}"), max(1, int(cases_per_function * scale)), trees[0])
     results, seconds = [], []
     for pkg in trees:
         start = time.perf_counter()
@@ -204,7 +204,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("left", type=Path, help="src/ directory of the first tree")
     parser.add_argument("right", type=Path, help="src/ directory of the second tree")
     parser.add_argument("--cases", type=int, default=1000,
-                        help="cases for move_primitive_vector; twice as many matrices (default 1000)")
+                        help="cases for move_primitive_vector; twice as many matrices and a fiftieth as "
+                             "many long-coordinate moves, at least one (default 1000)")
     parser.add_argument("--timeout", type=float, default=10.0, help="seconds per case and side (default 10)")
     args = parser.parse_args(argv)
     sys.set_int_max_str_digits(0)  # outputs of long-coordinate moves have more than 4,300 digits
