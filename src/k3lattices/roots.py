@@ -1,15 +1,14 @@
 """Short-vector enumeration and the (-2)-wall test for polarization degrees.
 
 `short_vectors` is integral LLL, then fraction-free Fincke-Pohst, provably
-complete: the all-integer LDL^T that LLL keeps for the reduced basis (one
-symmetric Bareiss pass per search) plus depth-first coordinate bounding with
-integer square roots, so the reported list is exact.  The walk covers half
-the tree, one of each +-v, and closes the last coordinate by a scalar test.
+complete: the all-integer LDL^T that LLL keeps (one Bareiss pass per search),
+integer square roots, half the tree (one of each +-v) and a scalar test for
+the last coordinate.  Each vector is packed into one int, so a child costs one
+multiply-add and the hits are sorted as ints and decoded once.
 On a hyperbolic lattice (signature (1, rank-1)) the vectors w with w^2 = -2
-orthogonal to a fixed v of positive square live in the negative definite
-complement v-perp, which makes the wall test finite: one enumeration of a
-positive definite majorant, filtered to w.v = 0, finds them with no basis of
-v-perp.
+orthogonal to a fixed v of positive square lie in the negative definite v-perp,
+so the wall test is finite: one enumeration of a positive definite majorant,
+filtered to w.v = 0, finds them with no basis of v-perp.
 `min_polarization_degree` walks the coefficient box once, carrying partial
 squares, into norm shells already in candidate order, and decides them in
 increasing v^2: a candidate orthogonal to a wall that an earlier wall test
@@ -22,8 +21,9 @@ each term of v^2 left to add is bounded over the box, so their sum is too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 from operator import mul
+from struct import iter_unpack
 from typing import Sequence
 
 from .lattices import Lattice
@@ -53,10 +53,21 @@ def short_vectors(n: Lattice, target_norm: int) -> ShortVectorReport:
     N = lcm(D_i D_{i+1}) with w_i = N / (D_i D_{i+1}) leaves an integer budget,
     and each coordinate, from the last one down, runs over exactly the x_i with
     w_i (D_{i+1} x_i + C_i)^2 within what is left.  The tree is walked for one
-    of each +-v, the one whose last nonzero reduced coordinate is positive, and
-    each hit is kept with its negation.  x_0 is closed inline from level 1 as
-    w_0 y^2 == what is left, so the leaves build nothing but the hits, which are
-    sums of the reduced basis vectors.  `nodes` counts the x_i tried for i >= 1.
+    of each +-v, the one whose last nonzero reduced coordinate is positive.
+    x_0 is closed inline from level 1 as w_0 y^2 == what is left, so the leaves
+    build nothing but the hits.  `nodes` counts the x_i tried for i >= 1.
+
+    Each vector is one int, pack(v) = sum_k v_k 2^(s (r-1-k)), v_0 the most
+    significant.  pack is Z-linear, so a child adds x pack(b_i) to its parent's
+    image and a hit's negation is -pack(v).  The field width s, a multiple of 8,
+    makes |v_k| < 2^(s-2): v_k^2 <= n (G^-1)_kk (Cauchy-Schwarz) and
+    (G^-1)_kk <= prod_{j != k} g_jj / det G (Hadamard, det G = D_r); past 8
+    bytes that bound on the reduced x_l gives |v_k| <= sum_l |b_lk| |x_l|.  If v
+    and w first differ at k, the rest of pack(v) - pack(w) is below
+    2^(s-1) sum_{t < r-1-k} 2^(st) < 2^(s (r-1-k)), so integer order is
+    lexicographic order and the hits are sorted as ints.  Adding bias, 2^(s-1)
+    in each field, makes field k v_k + 2^(s-1), in [0, 2^s) with no carry; xor
+    with bias leaves v_k in s-bit two's complement for `struct`.
     """
     if target_norm <= 0:
         raise ValueError("target norm must be positive")
@@ -67,6 +78,14 @@ def short_vectors(n: Lattice, target_norm: int) -> ShortVectorReport:
     rank = n.rank
     if rank == 0:
         return ShortVectorReport(n, target_norm, ())
+    diagonal = [n.gram[k, k] for k in range(rank)]
+    bound = isqrt(target_norm * (prod(diagonal) // min(diagonal)) // minors[rank])  # max_k |v_k|
+    if bound >> 62:  # a skewed basis: bound v = sum_l x_l basis[l] with the reduced Gram instead
+        diagonal = [n.norm(b) for b in basis]
+        xs = [isqrt(target_norm * (prod(diagonal) // g) // minors[rank]) for g in diagonal]
+        bound = min(bound, max(sum(abs(b[k]) * x for b, x in zip(basis, xs)) for k in range(rank)))
+    width = 1 << ((bound.bit_length() + 9) // 8 - 1).bit_length()  # bytes per field: 1, 2, 4, 8, 16, ...
+    powers = [1 << 8 * width * k for k in range(rank - 1, -1, -1)]  # pack(v) = sum_k v_k powers[k]
     denominators = [minors[i] * minors[i + 1] for i in range(rank)]
     scale = lcm(*denominators)
     weights = [scale // q for q in denominators]
@@ -77,25 +96,25 @@ def short_vectors(n: Lattice, target_norm: int) -> ShortVectorReport:
         weights.append(budget + 1)
         rows.append([0])
         basis.append([0])
-    weight0, pivot0, vector0 = weights[0], minors[1], basis[0]
-    found: list[Vector] = []
+    packed = [sum(map(mul, b, powers)) for b in basis]
+    weight0, pivot0, packed0 = weights[0], minors[1], packed[0]
+    found: list[int] = []
     nodes = 0
 
-    def descend(i: int, remaining: int, centers: list[int], image: list[int], signed: bool) -> None:
-        # centers[l] is C_l for l <= i; image is sum x_l basis[l] over the x_l chosen so far;
+    def descend(i: int, remaining: int, centers: list[int], image: int, signed: bool) -> None:
+        # centers[l] is C_l for l <= i; image is pack(sum x_l basis[l]) over the x_l chosen so far;
         # signed: some chosen x_l is nonzero, so x_i may be negative (else C_i == 0 and x_i >= 0)
         nonlocal nodes
         center, pivot, weight = centers[i], minors[i + 1], weights[i]
         root = isqrt(remaining // weight)
         lo, hi = -((root + center) // pivot) if signed else 0, (root - center) // pivot
         nodes += hi - lo + 1
-        row, vector = rows[i], basis[i]
+        row, step = rows[i], packed[i]
         if i > 1:
             for x in range(lo, hi + 1):
                 y = pivot * x + center
                 descend(i - 1, remaining - weight * y * y,
-                        [c + x * m for c, m in zip(centers, row)],
-                        [a + x * b for a, b in zip(image, vector)], signed or x > 0)
+                        [c + x * m for c, m in zip(centers, row)], image + x * step, signed or x > 0)
             return
         center0, m = centers[0], row[0]
         for x in range(lo, hi + 1):
@@ -108,15 +127,20 @@ def short_vectors(n: Lattice, target_norm: int) -> ShortVectorReport:
             c0 = center0 + x * m
             for y0 in (root0, -root0) if root0 and (signed or x > 0) else (root0,):
                 x0, r = divmod(y0 - c0, pivot0)
-                if r == 0:  # built from a list, so the kept tuples have their exact size
-                    v = [a + x * b + x0 * e for a, b, e in zip(image, vector, vector0)]
-                    found.append(tuple(v))
-                    found.append(tuple([-a for a in v]))
+                if r == 0:
+                    found.extend((p := image + x * step + x0 * packed0, -p))
 
-    top = len(rows) - 1
-    descend(top, budget, [0] * (top + 1), [0] * rank, False)
+    descend(len(rows) - 1, budget, [0] * len(rows), 0, False)
+    descend = None  # it refers to itself: free the walk's lists now, not at the next gc pass
     found.sort()
-    return ShortVectorReport(n, target_norm, tuple(found), nodes)
+    bias, size = sum(powers) << 8 * width - 1, rank * width
+    raw = b"".join([((p + bias) ^ bias).to_bytes(size, "big") for p in found])
+    del found  # the ints go before the tuples are built
+    code = "bhiq"[width.bit_length() - 1] if width <= 8 else f"{width}s"
+    vectors = tuple(iter_unpack(">" + code * rank, raw))
+    if width > 8:  # the fields come as bytes
+        vectors = tuple(tuple([int.from_bytes(f, "big", signed=True) for f in v]) for v in vectors)
+    return ShortVectorReport(n, target_norm, vectors, nodes)
 
 
 def minus_two_walls_through(n: Lattice, v: Sequence[int]) -> list[Vector]:
@@ -141,8 +165,8 @@ def _walls(n: Lattice, v: Vector) -> list[Vector]:
     """
     u = n.gram.apply(v)
     vv = sum(a * b for a, b in zip(v, u))
-    majorant = IntMatrix([[2 * a * b - vv * g for b, g in zip(u, row)]
-                          for a, row in zip(u, n.gram.tolists())])
+    majorant = IntMatrix._trusted(tuple(tuple([2 * a * b - vv * g for b, g in zip(u, row)])
+                                        for a, row in zip(u, n.gram.tolists())), n.rank)
     hits = short_vectors(Lattice(n.rank, majorant), 2 * vv).vectors
     return [w for w in hits if not sum(a * b for a, b in zip(w, u))]
 
@@ -238,6 +262,7 @@ def _box_candidates(n: Lattice, norm_limit: int, coeff_box: int) -> tuple[list[t
             child(prefix + (t,), qt, st)
 
     (walk if last > 1 else above_leaves)((), 0, [0] * n.rank)
+    walk = None  # it refers to itself: free the walk now, not at the next gc pass
     return [item for norm in sorted(shells) for item in shells[norm]], nodes
 
 

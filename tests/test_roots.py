@@ -1,5 +1,7 @@
+import gc
 import random
 from itertools import product
+from struct import iter_unpack
 
 import pytest
 
@@ -146,6 +148,57 @@ def test_short_vectors_factors_once(monkeypatch):
     monkeypatch.setattr(IntMatrix, "__matmul__", counted_matmul)
     assert short_vectors(skewed, 2).count() == 240
     assert calls == ["ldlt"]
+
+
+def chain_skew(lat, c):
+    """lat in the basis with column j += c * column j - 1, for j = 1, ..., rank - 1 in turn."""
+    u = [[int(i == j) for j in range(lat.rank)] for i in range(lat.rank)]
+    for j in range(1, lat.rank):
+        for row in u:
+            row[j] += c * row[j - 1]
+    u = IntMatrix(u)
+    return Lattice(lat.rank, u.transpose() @ lat.gram @ u)
+
+
+def test_short_vectors_every_field_width(monkeypatch):
+    # packed hits are decoded by struct at 1, 2, 4 and 8 bytes a field and by
+    # int.from_bytes past that; coordinates of 2^62 and more need the wide fields
+    formats = []
+
+    def recorded(code, raw):
+        formats.append(code[1])
+        return iter_unpack(code, raw)
+
+    monkeypatch.setattr(roots, "iter_unpack", recorded)
+    rng = random.Random(41)
+    cases = [(chain_skew(e8(), c), 2) for c in (0, 16, 2 ** 9, 2 ** 30, 2 ** 64, 2 ** 100)]
+    cases += [(chain_skew(direct_sum(e8(), e8()), 2 ** 70), 2), (rank_one(3), 27)]
+    cases += [(random_posdef(rng, rng.randint(1, 6)), rng.randint(1, 10)) for _ in range(10)]
+    wide = 0
+    for lat, norm in cases:
+        vectors = short_vectors(lat, norm).vectors
+        assert vectors == short_vectors_full_tree(lat, norm)[0]
+        assert all(a < b for a, b in zip(vectors, vectors[1:]))
+        assert set(vectors) == {tuple(-x for x in v) for v in vectors}
+        assert all(type(v) is tuple and len(v) == lat.rank and all(type(x) is int for x in v) for v in vectors)
+        wide += max((abs(x) for v in vectors for x in v), default=0) >> 62 > 0
+    assert set(formats) >= set("bhiq") and wide >= 3
+
+
+def test_searches_leave_no_reference_cycles():
+    # the recursive closures are dropped before return, so plain reference
+    # counting frees every search's working lists
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        short_vectors(e8(), 6)
+        assert gc.collect() == 0
+        min_polarization_degree(direct_sum(hyperbolic_u(), rank_one(-2)), 20, 3)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_short_vectors_rejects_indefinite():

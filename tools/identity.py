@@ -26,6 +26,12 @@ Functions and their inputs:
   columns and rank-deficient ones.  The output is (u, d, v).
 - `_smith_mod`: the same matrices at moduli including 1.  The output is the
   diagonal and the transform.
+- `short_vectors`: seeded positive definite Grams of rank 0 to 8 at norms 1
+  to 10, and E8 and E8+E8 under seeded unimodular skews whose Hadamard bound
+  on a coordinate needs 1 (E8 only), 2, 4, 8, 16, 32 and 64 bytes, at norm 2
+  (E8 also at 4).  Past 8 bytes the skew's moves have multipliers of up to
+  64, 128 and 256 bits, so that the short vectors' coordinates need the wide
+  fields too.  The output is (vectors, nodes).
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib.util
+import math
 import random
 import signal
 import sys
@@ -141,11 +148,56 @@ def run_smith_mod(pkg, case):
     return pkg.linalg._smith_mod(pkg.IntMatrix(m, cols=cols), modulus, transform=True)
 
 
+SKEW_BYTES = (1, 2, 4, 8, 16, 32, 64)
+
+
+def coordinate_bytes(gram, norm: int) -> int:
+    """Bytes for a signed coordinate of a norm-`norm` vector of a unimodular
+    Gram, from |v_k|^2 <= norm * prod_{j != k} g_jj (Hadamard), rounded up
+    to a power of two."""
+    diagonal = [row[k] for k, row in enumerate(gram)]
+    bound = math.isqrt(max(norm * math.prod(diagonal) // g for g in diagonal))
+    return 1 << ((bound.bit_length() + 9) // 8 - 1).bit_length()
+
+
+def short_vector_cases(rng: random.Random, count: int, pkg) -> list:
+    """(rank, gram, norm): random positive definite Grams and skewed E8, E8+E8."""
+    cases = []
+    for i in range(count):
+        if i % 2 == 0:  # B B^T + a positive diagonal, rank 0..8 in turn
+            rank = i // 2 % 9
+            b = [[rng.randint(-2, 2) for _ in range(rank)] for _ in range(rank)]
+            gram = [[sum(x * y for x, y in zip(r, s)) + (rng.randint(1, 3) if k == j else 0)
+                     for j, s in enumerate(b)] for k, r in enumerate(b)]
+            cases.append((rank, gram, rng.randint(1, 10)))
+            continue
+        turn, target = divmod(i // 2, len(SKEW_BYTES))  # every width in turn, on E8+E8 every third turn
+        base = pkg.direct_sum(pkg.e8(), pkg.e8()) if turn % 3 == 2 else pkg.e8()
+        gram, rank, target = base.gram.tolists(), base.rank, SKEW_BYTES[target]
+        norm = rng.choice((2, 4)) if rank == 8 else 2
+        big = 1 << 4 * target if target > 8 else 1  # past 8 bytes the short vectors must be long too
+        while coordinate_bytes(gram, norm) < target:  # column j += c column i, on both sides
+            j, k = rng.sample(range(rank), 2)
+            c = rng.choice((1, -1)) * rng.randint(1, big)
+            for row in gram:
+                row[j] += c * row[k]
+            gram[j] = [x + c * y for x, y in zip(gram[j], gram[k])]
+        cases.append((rank, gram, norm))
+    return cases
+
+
+def run_short_vectors(pkg, case):
+    rank, gram, norm = case
+    report = pkg.short_vectors(pkg.Lattice(rank, pkg.IntMatrix(gram, cols=rank)), norm)
+    return report.vectors, report.nodes
+
+
 FUNCTIONS = {
     "move_primitive_vector": (move_cases, run_move, 1.0),
     "move_long_coordinates": (long_move_cases, run_move, 0.02),
     "smith_normal_form": (matrix_cases, run_snf, 2.0),
     "_smith_mod": (smith_mod_cases, run_smith_mod, 2.0),
+    "short_vectors": (short_vector_cases, run_short_vectors, 1.0),
 }
 
 
@@ -204,8 +256,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("left", type=Path, help="src/ directory of the first tree")
     parser.add_argument("right", type=Path, help="src/ directory of the second tree")
     parser.add_argument("--cases", type=int, default=1000,
-                        help="cases for move_primitive_vector; twice as many matrices and a fiftieth as "
-                             "many long-coordinate moves, at least one (default 1000)")
+                        help="cases for move_primitive_vector and short_vectors; twice as many matrices "
+                             "and a fiftieth as many long-coordinate moves, at least one (default 1000)")
     parser.add_argument("--timeout", type=float, default=10.0, help="seconds per case and side (default 10)")
     args = parser.parse_args(argv)
     sys.set_int_max_str_digits(0)  # outputs of long-coordinate moves have more than 4,300 digits
