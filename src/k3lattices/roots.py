@@ -79,7 +79,7 @@ def short_vectors(n: Lattice, target_norm: int) -> ShortVectorReport:
     if rank == 0:
         return ShortVectorReport(n, target_norm, ())
     diagonal = [n.gram[k, k] for k in range(rank)]
-    bound = isqrt(target_norm * (prod(diagonal) // min(diagonal)) // minors[rank])  # max_k |v_k|
+    bound = isqrt(target_norm * (prod(diagonal) // min(diagonal)) // minors[rank])  # >= every |v_k|
     if bound >> 62:  # a skewed basis: bound v = sum_l x_l basis[l] with the reduced Gram instead
         diagonal = [n.norm(b) for b in basis]
         xs = [isqrt(target_norm * (prod(diagonal) // g) // minors[rank]) for g in diagonal]
