@@ -42,7 +42,7 @@ class Lattice:
             raise ValueError("gram matrix must be symmetric")
 
     def pairing(self, x: Sequence[int], y: Sequence[int]) -> int:
-        if len(y) != self.rank:
+        if len(x) != self.rank or len(y) != self.rank:
             raise ValueError("vector length mismatch")
         # G y is the sum of y_j (row j of G) since G is symmetric: skip y_j = 0
         total = 0
@@ -280,8 +280,6 @@ def sublattice_embedding(target: Lattice, columns: Sequence[Sequence[int]],
                          label: str | None = None) -> LatticeEmbedding:
     """Embedding of the sublattice spanned by `columns` with its induced Gram."""
     cols = [tuple(int(x) for x in c) for c in columns]
-    if any(len(c) != target.rank for c in cols):
-        raise ValueError("embedding matrix shape mismatch")
     mat = IntMatrix.from_columns(cols, target.rank)
     induced = mat.transpose() @ (target.gram @ mat)
     return LatticeEmbedding(Lattice(mat.cols, induced, label), target, mat, induced)
@@ -380,29 +378,6 @@ def reflection(w: Sequence[int], n: Lattice) -> Isometry:
     return Isometry(n, IntMatrix.from_columns(cols, n.rank))
 
 
-def _transvect_columns(columns: list[list[int]], gram: IntMatrix,
-                       f: Sequence[int], a: Sequence[int]) -> None:
-    """Replace every column x by E(f,a)x = x + (x.f)a - (x.a + (a^2/2)(x.f))f.
-
-    Applied to the columns of a matrix g this computes E(f,a) @ g in place.
-    Callers guarantee f isotropic, a orthogonal to f and (a^2)(x.f) even for
-    every column x, so that the result is integral.  Only the supports of
-    G f = f^T G, G a, a and f are walked; for marked-plane f and a each has
-    one or two entries, so a step costs O(1) per column.
-    """
-    gf, ga, sa, sf = ([(i, x) for i, x in enumerate(vec) if x]
-                      for vec in (gram.row_combination(f), gram.row_combination(a), a, f))
-    aa = sum(a[i] * g for i, g in ga)
-    for x in columns:
-        xf = sum(x[i] * g for i, g in gf)
-        xa = sum(x[i] * g for i, g in ga)
-        fcoeff = -xa - aa * xf // 2
-        for i, ai in sa:
-            x[i] += xf * ai
-        for i, fi in sf:
-            x[i] += fcoeff * fi
-
-
 def eichler_transvection(f: Sequence[int], a: Sequence[int], n: Lattice) -> Isometry:
     """E(f,a): x -> x + (x.f)a - (x.a)f - (a^2/2)(x.f)f for isotropic f, a._|_f.
 
@@ -416,14 +391,18 @@ def eichler_transvection(f: Sequence[int], a: Sequence[int], n: Lattice) -> Isom
     if n.pairing(a, f) != 0:
         raise ValueError("a must be orthogonal to f")
     aa = n.norm(a)
+    gf = n.gram.apply(f)
     if aa % 2 != 0:
-        for j, xf in enumerate(n.gram.apply(f)):
+        for j, xf in enumerate(gf):
             if xf % 2 != 0:
                 raise ValueError(
                     f"transvection not integral: a^2 = {aa} odd and basis vector {j} pairs oddly with f")
-    columns = IntMatrix.identity(n.rank).tolists()
-    _transvect_columns(columns, n.gram, f, a)
-    return Isometry(n, IntMatrix.from_columns(columns, n.rank))
+    # column j is e_j + (e_j.f) a - (e_j.a + (a^2/2)(e_j.f)) f, and e_j.x = (G x)_j
+    ga = n.gram.apply(a)
+    shift = [x + aa * y // 2 for x, y in zip(ga, gf)]
+    rows = tuple(tuple((k == j) + ak * y - fk * z for j, (y, z) in enumerate(zip(gf, shift)))
+                 for k, (ak, fk) in enumerate(zip(a, f)))
+    return Isometry(n, IntMatrix._trusted(rows, n.rank))
 
 
 def in_discriminant_kernel(g: Isometry) -> bool:
@@ -493,6 +472,12 @@ def move_primitive_vector(v: Sequence[int], n: Lattice, pairs: HyperbolicPairs) 
     content of G (v outside plane 1).  As (G v)_e1 = b1 and (G v)_f1 = a1,
     gcd(a1, b1, t) = content(G v) = div(v).
 
+    The whole move keeps one state, the rows of [g | g v]: row k is row k of
+    the composed g, then coordinate k of the current image.  Every step is
+    E(e_f, a) for a plane index f, and x.e_f = x_f' (' is the plane partner),
+    so it adds a_k (row f') to row k on the support of a and subtracts
+    (G a)^T rows + (a^2/2)(row f') from row f.
+
     1. If a1 = b1 = 0, E(e1, c) makes a1 = -t != 0.
     2. Make gcd(a1, b1) = 1.  If b1 = 0 (so a1 != 0), E(f1, c) makes
        b1 = -t - (c^2/2) a1; if that is 0, then c^2 != 0 and a second
@@ -508,11 +493,10 @@ def move_primitive_vector(v: Sequence[int], n: Lattice, pairs: HyperbolicPairs) 
     3. 2x2 Smith reduction on Q = [[v.f1, v.e2], [-v.f2, v.e1]], that is
        [[v_e1, v_f2], [-v_e2, v_f1]].  Adding q times one row or column of Q
        to the other is the one transvection E(e_f, s q e_i) of the table
-       `steps`: as a^2 = 0, x.e_f = x_f' and x.a = s q x_i' (' is the plane
-       partner), it adds s q x_f' to x_i and -s q x_i' to x_f, so the stage
-       runs on the four plane rows of [matrix | image].  A pass reduces Q_01
-       (else Q_10) by a nearest multiple of Q_00, swaps it (three steps) into
-       Q_00 when smaller or Q_00 = 0, or folds row 1 into row 0 when Q is
+       `steps`: as a^2 = 0 and G a = s q e_i', it adds s q (row f') to row i
+       and -s q (row i') to row f only.  A pass reduces Q_01 (else Q_10) by
+       a nearest multiple of Q_00, swaps it (three steps) into Q_00 when
+       smaller or Q_00 = 0, or folds row 1 into row 0 when Q is
        diagonal and Q_00 does not divide Q_11, so Q ends diagonal with |Q_00|
        the gcd of its entries, 1 after stage 2.  Cap: entries only move until
        Q_00 != 0 (two swaps); then 0 < |Q_00| < 2^B, B the bit length of the
@@ -548,28 +532,46 @@ def move_primitive_vector(v: Sequence[int], n: Lattice, pairs: HyperbolicPairs) 
     divisor = content(n.gram.apply(v))
     e1, f1 = pairs.first
     e2, f2 = pairs.second
+    partner = {e1: f1, f1: e1, e2: f2, f2: e2}
     steps = {"row1": (e1, f2, 1), "row2": (f1, e2, -1), "col1": (e1, e2, -1), "col2": (f1, f2, 1)}
     swap_rows = (("row1", 1), ("row2", -1), ("row1", 1))
     swap_cols = (("col1", 1), ("col2", -1), ("col1", 1))
-    columns = IntMatrix.identity(n.rank).tolists()
-    cur = list(v)
+    gram_rows = [[(j, x) for j, x in enumerate(row) if x] for row in n.gram.tolists()]
+    # row k of [g | g v]: row k of g, then coordinate k of the current image
+    rows = [[0] * n.rank + [x] for x in v]
+    for k, row in enumerate(rows):
+        row[k] = 1
     transvections = 0
 
-    def transvect(f: int, a: Sequence[int]) -> None:
+    def transvect(f: int, a: dict[int, int]) -> None:
+        """Apply E(e_f, a) to [g | g v]; `a` holds the nonzero entries, none at f'."""
         nonlocal transvections
-        if any(a):
-            _transvect_columns(columns + [cur], n.gram, n.basis_vector(f), a)
-            transvections += 1
+        if not a:
+            return
+        fp = partner[f]  # x.e_f = x_f', and a_f' = 0 keeps row f' as it is
+        loss = {fp: 0}  # row f loses sum_j loss_j (row j): G a, and a^2/2 at f'
+        for k, ak in a.items():
+            for j, x in gram_rows[k]:
+                loss[j] = loss.get(j, 0) + ak * x
+        loss[fp] += sum(ak * loss.get(k, 0) for k, ak in a.items()) // 2
+        row = rows[f]
+        for j, c in loss.items():
+            if c:
+                row = [x - c * y for x, y in zip(row, rows[j])]
+        rows[f] = row
+        for k, ak in a.items():
+            rows[k] = [x + ak * y for x, y in zip(rows[k], rows[fp])]
+        transvections += 1
 
-    def complement_move() -> tuple[list[int], int]:
-        """(c, t): c outside plane 1 with cur.c = t = content of G (cur outside plane 1)."""
-        k = list(cur)
+    def complement_move() -> tuple[dict[int, int], int]:
+        """(c, t): c outside plane 1 by nonzero entries, cur.c = t = content of G (cur outside plane 1)."""
+        k = [row[-1] for row in rows]
         k[e1] = k[f1] = 0
         t, c = bezout_combination(n.gram.apply(k))
-        return c, t
+        return {i: x for i, x in enumerate(c) if x}, t
 
     # stage 1: ensure (v.f1, v.e1) != (0, 0)
-    if cur[e1] == cur[f1] == 0:
+    if rows[e1][-1] == rows[f1][-1] == 0:
         c, t = complement_move()
         if t == 0:
             raise ValueError("vector is orthogonal to everything outside plane 1")
@@ -577,7 +579,7 @@ def move_primitive_vector(v: Sequence[int], n: Lattice, pairs: HyperbolicPairs) 
 
     # stage 2: make gcd(v.f1, v.e1) = 1
     for _ in range(8):
-        a1, b1 = cur[e1], cur[f1]
+        a1, b1 = rows[e1][-1], rows[f1][-1]
         if gcd(a1, b1) == 1:
             break
         c, t = complement_move()
@@ -585,7 +587,7 @@ def move_primitive_vector(v: Sequence[int], n: Lattice, pairs: HyperbolicPairs) 
             raise ValueError("primitive vector with trivial complement should have coprime plane pairings")
         if b1 == 0:
             transvect(f1, c)
-            if cur[f1] == 0:
+            if rows[f1][-1] == 0:
                 transvect(f1, c)
             continue
         if divisor != 1:
@@ -593,12 +595,10 @@ def move_primitive_vector(v: Sequence[int], n: Lattice, pairs: HyperbolicPairs) 
         lam = next((lam for lam in range(abs(b1)) if gcd(a1 - lam * t, b1) == 1), None)
         if lam is None:
             raise AssertionError("no coprime lambda below |v.e1| although div(v) = 1")
-        transvect(e1, [lam * x for x in c])
+        transvect(e1, {k: lam * x for k, x in c.items()})  # lam != 0: gcd(a1, b1) != 1
 
-    # stage 3: 2x2 Smith reduction on Q, on the plane rows of [columns | cur]
-    partner = {e1: f1, f1: e1, e2: f2, f2: e2}
-    rows = {k: [col[k] for col in columns] + [cur[k]] for k in partner}
-    bits = max(abs(cur[k]).bit_length() for k in partner)
+    # stage 3: 2x2 Smith reduction on Q, two rows per step
+    bits = max(abs(rows[k][-1]).bit_length() for k in partner)
     for _ in range(15 * bits + 13):
         q00, q01, q10, q11 = rows[e1][-1], rows[f2][-1], -rows[e2][-1], rows[f1][-1]
         if q01 != 0 or q10 != 0:  # clear Q_01 first, then Q_10
@@ -615,30 +615,24 @@ def move_primitive_vector(v: Sequence[int], n: Lattice, pairs: HyperbolicPairs) 
             moves = (("row1", 1),)  # fold the second diagonal entry in to repair divisibility
         for step, q in moves:
             f, i, sign = steps[step]
-            rows[i] = [x + sign * q * y for x, y in zip(rows[i], rows[partner[f]])]
-            rows[f] = [x - sign * q * y for x, y in zip(rows[f], rows[partner[i]])]
-            transvections += q != 0
+            transvect(f, {i: sign * q})
     else:
         raise AssertionError("2x2 Smith reduction did not terminate")
-    for k, row in rows.items():
-        for col, x in zip(columns + [cur], row):
-            col[k] = x
 
-    canonical = cur[e1] in (1, -1) and cur[e2] == cur[f2] == 0
+    canonical = rows[e1][-1] in (1, -1) and rows[e2][-1] == rows[f2][-1] == 0
     if canonical:
         # finisher: clear everything outside plane 1, then fix signs
-        a1 = cur[e1]
-        transvect(f1, [0 if k in (e1, f1) else -a1 * x for k, x in enumerate(cur)])
-        if cur[e1] == -1:
-            for col in columns + [cur]:
-                col[:] = [-x for x in col]
+        a1 = rows[e1][-1]
+        transvect(f1, {k: -a1 * row[-1] for k, row in enumerate(rows) if row[-1] and k not in (e1, f1)})
+        if rows[e1][-1] == -1:
+            rows = [[-x for x in row] for row in rows]
 
-    cur = tuple(cur)
+    cur = tuple(row.pop() for row in rows)
     expected = [0] * n.rank
     expected[e1], expected[f1] = 1, n.norm(v) // 2
     if canonical and cur != tuple(expected):
         raise AssertionError("canonicalization reached an unexpected representative")
-    g = Isometry(n, IntMatrix.from_columns(columns, n.rank))
+    g = Isometry(n, IntMatrix._trusted(tuple(map(tuple, rows)), n.rank))
     if g.apply(v) != cur:
         raise AssertionError("isometry does not witness the move")
     return MoveResult(g, cur, canonical, divisor, transvections)

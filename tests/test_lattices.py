@@ -35,7 +35,6 @@ from k3lattices.lattices import (
     reflection,
     saturate,
     sublattice_embedding,
-    _transvect_columns,
 )
 from k3lattices.linalg import (
     IntMatrix,
@@ -57,6 +56,14 @@ def test_k3_lattice_shape():
     assert lam.rank == 22
     assert lam.det() in (1, -1)
     assert lam.signature() == (19, 3, 0)
+
+
+def test_pairing_rejects_either_vector_of_wrong_length():
+    u = hyperbolic_u()
+    for x, y in (((1,), (0, 1)), ((1, 0, 7), (0, 1)), ((0, 1), (1,)), ((0, 1), (1, 0, 7))):
+        with pytest.raises(ValueError, match="vector length mismatch"):
+            u.pairing(x, y)
+    assert u.pairing((1, 0), (0, 1)) == 1
 
 
 def test_negate_u():
@@ -316,7 +323,7 @@ def test_embedding_tests_column_independence_only_on_a_degenerate_source(monkeyp
 def test_embedding_rejects_columns_of_wrong_length():
     u = hyperbolic_u()
     for cols in ([(1, 0, 5), (0, 1)], [(0, 1), (1,)], [(1, 0, 0), (0, 1, 0)], [(1,), (0,)], [(1, 0, 0)]):
-        with pytest.raises(ValueError, match="shape mismatch"):
+        with pytest.raises(ValueError, match="^column length mismatch$"):
             sublattice_embedding(u, cols)
     assert sublattice_embedding(u, [(1, 0), (0, 1)]).matrix == IntMatrix.identity(2)
 
@@ -484,20 +491,36 @@ def test_eichler_preconditions():
         eichler_transvection((1, 0, 0), (0, 1, 0), amb)  # a.f != 0
 
 
-def test_transvect_columns_matches_composed_transvections():
+def _dense_transvection(lat, f, a):
+    """E(f, a) with column j equal to x + (x.f)a - (x.a + (a^2/2)(x.f))f for
+    x = e_j, every pairing summed over all Gram entries, zeros included."""
+    g, r = lat.gram.tolists(), lat.rank
+
+    def dot(x, y):
+        return sum(x[i] * g[i][j] * y[j] for i in range(r) for j in range(r))
+
+    aa = dot(a, a)
+    columns = []
+    for x in IntMatrix.identity(r).tolists():
+        xf, xa = dot(x, f), dot(x, a)
+        columns.append([p + xf * q - (xa + aa * xf // 2) * s for p, q, s in zip(x, a, f)])
+    return IntMatrix.from_columns(columns, r)
+
+
+def test_plane_transvections_compose_like_the_formula():
     rng = random.Random(113)
     lam = k3_lattice()
     partner = {16: 17, 17: 16, 18: 19, 19: 18}
-    columns = IntMatrix.identity(lam.rank).tolists()
     composed = Isometry(lam, IntMatrix.identity(lam.rank))
+    product = IntMatrix.identity(lam.rank)
     for _ in range(50):
         i = rng.choice(sorted(partner))
         f = lam.basis_vector(i)
         a = [rng.randint(-3, 3) for _ in range(lam.rank)]
         a[partner[i]] = 0  # a.f = a_partner
-        _transvect_columns(columns, lam.gram, f, a)
         composed = eichler_transvection(f, a, lam).compose(composed)
-    assert IntMatrix.from_columns(columns, lam.rank) == composed.matrix
+        product = _dense_transvection(lam, f, a) @ product
+    assert composed.matrix == product
 
 
 U2E8_NEG = direct_sum(hyperbolic_u(), hyperbolic_u(), negate(e8()))
@@ -507,30 +530,19 @@ U2E8_NEG = direct_sum(hyperbolic_u(), hyperbolic_u(), negate(e8()))
 @given(st.sampled_from([0, 1, 2, 3]), st.integers(-3, 3).filter(bool),
        st.lists(st.integers(-3, 3), min_size=12, max_size=12),
        st.lists(st.integers(-3, 3), min_size=12, max_size=12))
-def test_transvect_columns_matches_dense_formula(i, k, c, a):
+def test_eichler_transvection_matches_dense_formula(i, k, c, a):
     lat = U2E8_NEG
-    g = lat.gram.tolists()
-
-    def dot(x, y):  # every entry of the Gram, zeros included
-        return sum(x[r] * g[r][s] * y[s] for r in range(12) for s in range(12))
-
     # f = k (e + c - (c^2/2) e') for the plane pair (e, e') at (i, i ^ 1) and c
     # orthogonal to that plane is isotropic; a - ((a.f)/(f.e')) e' is orthogonal to f.
     j = i ^ 1
     c = [0 if r in (i, j) else x for r, x in enumerate(c)]
     f = [k * x for x in c]
-    f[i], f[j] = k, -k * (dot(c, c) // 2)
+    f[i], f[j] = k, -k * (lat.norm(c) // 2)
     z = lat.basis_vector(j)
-    fz, af = dot(f, z), dot(a, f)
+    fz, af = lat.pairing(f, z), lat.pairing(a, f)
     a = [fz * x - af * y for x, y in zip(a, z)]
-    assert dot(f, f) == 0 and dot(a, f) == 0
-
-    columns = IntMatrix.identity(12).tolists()
-    _transvect_columns(columns, lat.gram, f, a)
-    aa = dot(a, a)
-    for col, x in zip(columns, IntMatrix.identity(12).tolists()):
-        xf, xa = dot(x, f), dot(x, a)
-        assert col == [p + xf * q - (xa + aa // 2 * xf) * r for p, q, r in zip(x, a, f)]
+    assert lat.norm(f) == 0 and lat.pairing(a, f) == 0
+    assert eichler_transvection(f, a, lat).matrix == _dense_transvection(lat, f, a)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,13 @@ Functions and their inputs:
   (E8 also at 4).  Past 8 bytes the skew's moves have multipliers of up to
   64, 128 and 256 bits, so that the short vectors' coordinates need the wide
   fields too.  The output is (vectors, nodes).
+- `eichler_transvection`: isotropic f and a orthogonal to f on Λ, L_1…L_12,
+  U²⊕E8(−1) and the odd L = E8²⊕U²⊕<1>⁵, coordinates up to 10⁶.  f is a
+  multiple of a marked plane vector or k(e + c − (c²/2)e′) for a plane pair
+  (e, e′) and c outside that plane.  On L, f with G·f all even meets a of odd
+  norm, and a of odd norm against an odd k raises.  A fifth of the cases
+  make f not isotropic or a not orthogonal to f, so that the error texts are
+  compared too.  The output is the matrix rows.
 """
 
 from __future__ import annotations
@@ -67,7 +74,8 @@ def load_tree(src: Path, name: str):
 
 SEED = 21
 
-MARKED = {"k3": ((16, 17), (18, 19)), "l_d": ((16, 17), (18, 19)), "u2e8": ((0, 1), (2, 3))}
+MARKED = {"k3": ((16, 17), (18, 19)), "l_d": ((16, 17), (18, 19)), "u2e8": ((0, 1), (2, 3)),
+          "u2e8neg": ((0, 1), (2, 3)), "big_l": ((16, 17), (18, 19))}
 
 
 def build_lattice(pkg, kind: str, d: int):
@@ -75,7 +83,10 @@ def build_lattice(pkg, kind: str, d: int):
         return pkg.k3_lattice()
     if kind == "l_d":
         return pkg.l_d(d)
-    return pkg.direct_sum(pkg.hyperbolic_u(), pkg.hyperbolic_u(), pkg.e8())
+    if kind == "big_l":
+        return pkg.big_l()
+    e8 = pkg.negate(pkg.e8()) if kind == "u2e8neg" else pkg.e8()
+    return pkg.direct_sum(pkg.hyperbolic_u(), pkg.hyperbolic_u(), e8)
 
 
 def move_cases(rng: random.Random, count: int, pkg) -> list:
@@ -192,12 +203,51 @@ def run_short_vectors(pkg, case):
     return report.vectors, report.nodes
 
 
+def transvection_cases(rng: random.Random, count: int, pkg) -> list:
+    """(kind, d, f, a): f isotropic and a orthogonal to f, but in a fifth of
+    the cases, each of which breaks one of the two."""
+    cases = []
+    for _ in range(count):
+        kind = rng.choice(("k3", "l_d", "u2e8neg", "big_l"))
+        d = rng.randint(1, 12) if kind == "l_d" else 0
+        lat = build_lattice(pkg, kind, d)
+        i = rng.choice(MARKED[kind][0] + MARKED[kind][1])
+        j = i ^ 1  # the plane partner: marked planes sit at an even index and the next
+        bound = 10 ** rng.randint(0, 6)
+        k = rng.choice((1, -1)) * rng.randint(1, 3)
+        if kind == "big_l" and rng.random() < 0.7:
+            k *= 2  # G f all even, so a of odd norm still gives an integral E
+        f = [0] * lat.rank
+        if rng.random() < 0.5:  # general isotropic k (e + c - (c^2/2) e')
+            c = [0 if r in (i, j) else rng.randint(-bound, bound) for r in range(lat.rank)]
+            if lat.norm(c) % 2:  # only on L, whose last summand <1> then flips the parity
+                c[-1] += 1
+            f = [k * x for x in c]
+            f[j] = -k * (lat.norm(c) // 2)
+        f[i] = k
+        a = [rng.randint(-bound, bound) for _ in range(lat.rank)]
+        a[j] -= lat.pairing(a, f) // k  # a.f is k times an integer, and e'.f = k
+        broken = rng.random()
+        if broken < 0.1:  # f not isotropic
+            f[j] += 1
+        elif broken < 0.2:  # a not orthogonal to f
+            a[j] += 1
+        cases.append((kind, d, tuple(f), tuple(a)))
+    return cases
+
+
+def run_transvection(pkg, case):
+    kind, d, f, a = case
+    return pkg.eichler_transvection(f, a, build_lattice(pkg, kind, d)).matrix.tolists()
+
+
 FUNCTIONS = {
     "move_primitive_vector": (move_cases, run_move, 1.0),
     "move_long_coordinates": (long_move_cases, run_move, 0.02),
     "smith_normal_form": (matrix_cases, run_snf, 2.0),
     "_smith_mod": (smith_mod_cases, run_smith_mod, 2.0),
     "short_vectors": (short_vector_cases, run_short_vectors, 1.0),
+    "eichler_transvection": (transvection_cases, run_transvection, 1.0),
 }
 
 
@@ -256,8 +306,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("left", type=Path, help="src/ directory of the first tree")
     parser.add_argument("right", type=Path, help="src/ directory of the second tree")
     parser.add_argument("--cases", type=int, default=1000,
-                        help="cases for move_primitive_vector and short_vectors; twice as many matrices "
-                             "and a fiftieth as many long-coordinate moves, at least one (default 1000)")
+                        help="cases for move_primitive_vector, short_vectors and eichler_transvection; "
+                             "twice as many matrices and a fiftieth as many long-coordinate moves, "
+                             "at least one (default 1000)")
     parser.add_argument("--timeout", type=float, default=10.0, help="seconds per case and side (default 10)")
     args = parser.parse_args(argv)
     sys.set_int_max_str_digits(0)  # outputs of long-coordinate moves have more than 4,300 digits
