@@ -161,8 +161,7 @@ def cmd_verify_cert(args):
 
 
 def cmd_disc_kernel(args):
-    iso = ser.isometry_from_obj(_read_json(args, "isometry_file") if args.isometry_file
-                                else _read_json(args))
+    iso = ser.isometry_from_obj(_read_json(args, "isometry_file"))
     _emit(args, {"in_discriminant_kernel": lat.in_discriminant_kernel(iso)})
 
 
@@ -240,88 +239,68 @@ def cmd_clifford(args):
 # ---------------------------------------------------------------------------
 # wiring
 
+_FILE = {"--file": {}}
+
+# (command path, help, handler, arguments) in `--help` order; a row with no handler is a group
+_COMMANDS = (
+    (("lattice",), "build lattices and report invariants", None, {}),
+    (("lattice", "build"), None, cmd_lattice_build, {
+        "name": dict(nargs="?", choices=sorted(_BUILDERS)),
+        "--d": dict(type=int),
+        "--n": dict(type=int),
+        **_FILE}),
+    (("lattice", "info"), None, cmd_lattice_info, {**_FILE, "--table": dict(action="store_true")}),
+    (("embed",), "the explicit embedding constructions", None, {}),
+    (("embed", "four-squares"), None, cmd_four_squares, {"--m": dict(type=int, required=True)}),
+    (("embed", "ld-in-l"), None, cmd_ld_in_l, {"--d": dict(type=int, required=True)}),
+    (("embed", "vd"), None, cmd_vd, {
+        "--d": dict(type=int, required=True),
+        "--positive-norm": dict(action="store_true")}),
+    (("complement",), None, cmd_complement, _FILE),
+    (("saturate",), None, cmd_saturate, _FILE),
+    (("roots",), "exhaustive fixed-norm vectors", cmd_roots, {
+        "--norm": dict(type=int, required=True),
+        **_FILE}),
+    (("walls",), "(-2)-walls orthogonal to v", cmd_walls, {
+        "--v": dict(required=True, type=_parse_vector),
+        **_FILE}),
+    (("mindeg",), "bounded search for the minimal polarization degree", cmd_mindeg, {
+        "--norm-limit": dict(type=int, default=20),
+        "--box": dict(type=int, default=10),
+        "--jobs": dict(type=int, default=1, help="accepted and ignored: the scan is sequential"),
+        **_FILE}),
+    (("verify-cert",), None, cmd_verify_cert, {
+        "--v": dict(required=True, type=_parse_vector),
+        "--degree": dict(type=int, required=True),
+        **_FILE}),
+    (("disc-kernel",), None, cmd_disc_kernel, {"--isometry-file": {}}),
+    (("clifford",), None, cmd_clifford, {
+        "op": dict(choices=["mul", "reversal", "phi-a", "find-a", "gspin", "project"]),
+        **_FILE}),
+    (("enumerate",), None, cmd_enumerate, {
+        "--rank": dict(type=int, required=True),
+        "--max-disc": dict(type=int, required=True),
+        "--even": dict(action="store_true"),
+        "--csv": dict(action="store_true")}),
+    (("check-disc-complement",), None, cmd_check_disc_complement, _FILE),
+)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="k3lat", description=__doc__)
     parser.add_argument("--raw-ints", action="store_true",
                         help="emit large integers as JSON numbers, not strings")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_lat = sub.add_parser("lattice", help="build lattices and report invariants")
-    lat_sub = p_lat.add_subparsers(dest="subcommand", required=True)
-    p_build = lat_sub.add_parser("build")
-    p_build.add_argument("name", nargs="?", choices=sorted(_BUILDERS))
-    p_build.add_argument("--d", type=int)
-    p_build.add_argument("--n", type=int)
-    p_build.add_argument("--file")
-    p_build.set_defaults(func=cmd_lattice_build)
-    p_info = lat_sub.add_parser("info")
-    p_info.add_argument("--file")
-    p_info.add_argument("--table", action="store_true")
-    p_info.set_defaults(func=cmd_lattice_info)
-
-    p_embed = sub.add_parser("embed", help="the explicit embedding constructions")
-    embed_sub = p_embed.add_subparsers(dest="subcommand", required=True)
-    p_fs = embed_sub.add_parser("four-squares")
-    p_fs.add_argument("--m", type=int, required=True)
-    p_fs.set_defaults(func=cmd_four_squares)
-    p_ld = embed_sub.add_parser("ld-in-l")
-    p_ld.add_argument("--d", type=int, required=True)
-    p_ld.set_defaults(func=cmd_ld_in_l)
-    p_vd = embed_sub.add_parser("vd")
-    p_vd.add_argument("--d", type=int, required=True)
-    p_vd.add_argument("--positive-norm", action="store_true")
-    p_vd.set_defaults(func=cmd_vd)
-
-    for name, fn in (("complement", cmd_complement), ("saturate", cmd_saturate)):
-        p = sub.add_parser(name)
-        p.add_argument("--file")
-        p.set_defaults(func=fn)
-
-    p_roots = sub.add_parser("roots", help="exhaustive fixed-norm vectors")
-    p_roots.add_argument("--norm", type=int, required=True)
-    p_roots.add_argument("--file")
-    p_roots.set_defaults(func=cmd_roots)
-
-    p_walls = sub.add_parser("walls", help="(-2)-walls orthogonal to v")
-    p_walls.add_argument("--v", required=True, type=_parse_vector)
-    p_walls.add_argument("--file")
-    p_walls.set_defaults(func=cmd_walls)
-
-    p_min = sub.add_parser("mindeg", help="bounded search for the minimal polarization degree")
-    p_min.add_argument("--norm-limit", type=int, default=20)
-    p_min.add_argument("--box", type=int, default=10)
-    p_min.add_argument("--jobs", type=int, default=1,
-                       help="accepted and ignored: the scan is sequential")
-    p_min.add_argument("--file")
-    p_min.set_defaults(func=cmd_mindeg)
-
-    p_cert = sub.add_parser("verify-cert")
-    p_cert.add_argument("--v", required=True, type=_parse_vector)
-    p_cert.add_argument("--degree", type=int, required=True)
-    p_cert.add_argument("--file")
-    p_cert.set_defaults(func=cmd_verify_cert)
-
-    p_dk = sub.add_parser("disc-kernel")
-    p_dk.add_argument("--isometry-file")
-    p_dk.set_defaults(func=cmd_disc_kernel)
-
-    p_cl = sub.add_parser("clifford")
-    p_cl.add_argument("op", choices=["mul", "reversal", "phi-a", "find-a", "gspin", "project"])
-    p_cl.add_argument("--file")
-    p_cl.set_defaults(func=cmd_clifford)
-
-    p_enum = sub.add_parser("enumerate")
-    p_enum.add_argument("--rank", type=int, required=True)
-    p_enum.add_argument("--max-disc", type=int, required=True)
-    p_enum.add_argument("--even", action="store_true")
-    p_enum.add_argument("--csv", action="store_true")
-    p_enum.set_defaults(func=cmd_enumerate)
-
-    p_cdc = sub.add_parser("check-disc-complement")
-    p_cdc.add_argument("--file")
-    p_cdc.set_defaults(func=cmd_check_disc_complement)
-
+    groups = {(): parser.add_subparsers(dest="command", required=True)}
+    for path, help_text, func, arguments in _COMMANDS:
+        # a `help` keyword, even None, lists the command on its own line of the parent's --help
+        command = groups[path[:-1]].add_parser(path[-1], **({"help": help_text} if help_text else {}))
+        for flag, options in arguments.items():
+            command.add_argument(flag, **options)
+        if func is None:
+            groups[path] = command.add_subparsers(dest="subcommand", required=True)
+        else:
+            command.set_defaults(func=func)
     return parser
 
 

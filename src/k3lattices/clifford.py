@@ -26,7 +26,6 @@ from .lattices import Lattice
 from .linalg import IntMatrix, unimodular_inverse
 
 MATRIX_RANK_CAP = 10
-PHI_RANK_CAP = MATRIX_RANK_CAP
 
 
 def _mask_indices(mask: int) -> list[int]:
@@ -362,8 +361,8 @@ def find_polarization_element(host: Lattice) -> PolarizationElement:
     whole candidate space, every multiple of a basis element or of a sum of
     two.
     """
-    if host.rank > PHI_RANK_CAP:
-        raise ValueError(f"rank {host.rank} exceeds the phi-gram cap {PHI_RANK_CAP}")
+    if host.rank > MATRIX_RANK_CAP:
+        raise ValueError(f"rank {host.rank} exceeds the phi-gram cap {MATRIX_RANK_CAP}")
     coeff_choices = (1, -1, 2, -2)
     if host.is_nondegenerate():
         alg = _algebra(host)

@@ -61,6 +61,11 @@ class Lattice:
     def _det(self) -> int:  # one Bareiss pass per lattice object
         return det_exact(self.gram)
 
+    @cached_property
+    def _sparse_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Row k holds the pairs (j, G_kj) with G_kj != 0."""
+        return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in self.gram.tolists())
+
     def disc(self) -> int:
         """|det| of the Gram matrix (group order of the discriminant group)."""
         return abs(self.det())
@@ -366,16 +371,14 @@ def reflection(w: Sequence[int], n: Lattice) -> Isometry:
     ww = n.norm(w)
     if ww == 0:
         raise ValueError("cannot reflect in an isotropic vector")
-    cols = []
-    for j in range(n.rank):
-        ej = n.basis_vector(j)
-        num = 2 * n.pairing(ej, w)
-        if num % ww != 0:
+    q = []  # column j is e_j - q_j w with q_j = 2(e_j.w)/w^2, and e_j.w = (G w)_j
+    for j, x in enumerate(n.gram.apply(w)):
+        if 2 * x % ww != 0:
             raise ValueError(
-                f"reflection in {w} is not integral: basis vector {j} has 2(x.w) = {num}, w^2 = {ww}")
-        q = num // ww
-        cols.append(tuple(ej[i] - q * w[i] for i in range(n.rank)))
-    return Isometry(n, IntMatrix.from_columns(cols, n.rank))
+                f"reflection in {w} is not integral: basis vector {j} has 2(x.w) = {2 * x}, w^2 = {ww}")
+        q.append(2 * x // ww)
+    rows = tuple(tuple((k == j) - wk * qj for j, qj in enumerate(q)) for k, wk in enumerate(w))
+    return Isometry(n, IntMatrix._trusted(rows, n.rank))
 
 
 def eichler_transvection(f: Sequence[int], a: Sequence[int], n: Lattice) -> Isometry:
@@ -443,7 +446,7 @@ def _check_marked_planes(n: Lattice, pairs: HyperbolicPairs) -> None:
     for e, f in (pairs.first, pairs.second):
         if not (n.gram[e, e] == 0 and n.gram[f, f] == 0 and n.gram[e, f] == 1):
             raise ValueError(f"columns {(e, f)} do not span a standard U-summand")
-        if any(n.gram[i, k] for i in (e, f) for k in range(n.rank) if k not in (e, f)):
+        if any(k not in (e, f) for i in (e, f) for k, _ in n._sparse_rows[i]):
             raise ValueError("marked U-summands are not orthogonal to the rest")
 
 
@@ -536,7 +539,7 @@ def move_primitive_vector(v: Sequence[int], n: Lattice, pairs: HyperbolicPairs) 
     steps = {"row1": (e1, f2, 1), "row2": (f1, e2, -1), "col1": (e1, e2, -1), "col2": (f1, f2, 1)}
     swap_rows = (("row1", 1), ("row2", -1), ("row1", 1))
     swap_cols = (("col1", 1), ("col2", -1), ("col1", 1))
-    gram_rows = [[(j, x) for j, x in enumerate(row) if x] for row in n.gram.tolists()]
+    gram_rows = n._sparse_rows
     # row k of [g | g v]: row k of g, then coordinate k of the current image
     rows = [[0] * n.rank + [x] for x in v]
     for k, row in enumerate(rows):

@@ -179,6 +179,38 @@ def test_usage_error_exit_code():
     assert err.value.code == 2
 
 
+USAGES = {
+    "": "[-h] [--raw-ints] {lattice,embed,complement,saturate,roots,walls,mindeg,verify-cert,"
+        "disc-kernel,clifford,enumerate,check-disc-complement} ...",
+    "lattice": "[-h] {build,info} ...",
+    "lattice build": "[-h] [--d D] [--n N] [--file FILE] [{big-l,e8,k3,l_d,rank-one,u}]",
+    "lattice info": "[-h] [--file FILE] [--table]",
+    "embed": "[-h] {four-squares,ld-in-l,vd} ...",
+    "embed four-squares": "[-h] --m M",
+    "embed ld-in-l": "[-h] --d D",
+    "embed vd": "[-h] --d D [--positive-norm]",
+    "complement": "[-h] [--file FILE]",
+    "saturate": "[-h] [--file FILE]",
+    "roots": "[-h] --norm NORM [--file FILE]",
+    "walls": "[-h] --v V [--file FILE]",
+    "mindeg": "[-h] [--norm-limit NORM_LIMIT] [--box BOX] [--jobs JOBS] [--file FILE]",
+    "verify-cert": "[-h] --v V --degree DEGREE [--file FILE]",
+    "disc-kernel": "[-h] [--isometry-file ISOMETRY_FILE]",
+    "clifford": "[-h] [--file FILE] {mul,reversal,phi-a,find-a,gspin,project}",
+    "enumerate": "[-h] --rank RANK --max-disc MAX_DISC [--even] [--csv]",
+    "check-disc-complement": "[-h] [--file FILE]",
+}
+
+
+@pytest.mark.parametrize("path", USAGES)
+def test_usage_of_every_parser_path(path, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "200")  # wide enough that no usage line wraps
+    with pytest.raises(SystemExit) as err:
+        cli.main([*path.split(), "--help"])
+    assert err.value.code == 0
+    assert capsys.readouterr().out.split("\n\n")[0] == " ".join(["usage: k3lat", *path.split(), USAGES[path]])
+
+
 @pytest.mark.parametrize("argv", [["walls", "--v", "a,b"], ["verify-cert", "--v", "1,b", "--degree", "4"],
                                   ["walls", "--v=1,,x"]])
 def test_malformed_vector_is_a_usage_error(argv, capsys):

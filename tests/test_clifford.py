@@ -440,7 +440,7 @@ def test_find_polarization_rank_eight():
 
 
 def test_find_polarization_rank_nine_and_the_cap():
-    # rank 9 is inside PHI_RANK_CAP = MATRIX_RANK_CAP = 10; rank 11 is not
+    # rank 9 is inside MATRIX_RANK_CAP = 10; rank 11 is not
     host = _rank_test_host(9)
     pol = find_polarization_element(host)
     assert pol.element == CliffordElement(host, {0: 1, 3: 1})

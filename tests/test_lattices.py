@@ -454,10 +454,12 @@ def test_reflection_involution_on_e8():
 def test_reflection_integrality_error():
     # w = (1,1) in <2> + <4> has w^2 = 6; 2(e1.w) = 4 is not divisible by 6
     amb = direct_sum(rank_one(2), rank_one(4))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         reflection((1, 1), amb)
-    with pytest.raises(ValueError):
+    assert str(err.value) == "reflection in (1, 1) is not integral: basis vector 0 has 2(x.w) = 4, w^2 = 6"
+    with pytest.raises(ValueError) as err:
         reflection((1, 0, 0), direct_sum(hyperbolic_u(), rank_one(2)))  # isotropic w
+    assert str(err.value) == "cannot reflect in an isotropic vector"
 
 
 def test_eichler_identity_for_zero():

@@ -39,14 +39,30 @@ Functions and their inputs:
   norm, and a of odd norm against an odd k raises.  A fifth of the cases
   make f not isotropic or a not orthogonal to f, so that the error texts are
   compared too.  The output is the matrix rows.
+- `reflection`: w on Λ, L_1…L_12, E8, <2>⊕<4> and the odd L.  Through a
+  marked plane, w = c + e + y·f has norm ±2 (±1 where c² is odd), so the
+  reflection is integral; the other w are basis vectors, small seeded
+  vectors (mostly not integral, so the error texts are compared), isotropic
+  vectors and vectors one entry too short or too long.  The output is the
+  matrix rows.
+- `cli`: `k3lat --help` of every parser path, and seeded argvs run through
+  `cli.main` in-process with JSON on stdin: `lattice build` and `info`,
+  `roots`, `walls` (with `--v -1,-2` after a space), `mindeg`,
+  `verify-cert`, `complement`, `enumerate --csv`, malformed JSON and usage
+  errors.  The output is (exit code, stdout, stderr); `SystemExit` is caught
+  and its code recorded.  Help text wraps at `COLUMNS=80`.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import importlib.util
+import io
+import json
 import math
+import os
 import random
 import signal
 import sys
@@ -85,6 +101,10 @@ def build_lattice(pkg, kind: str, d: int):
         return pkg.l_d(d)
     if kind == "big_l":
         return pkg.big_l()
+    if kind == "e8":
+        return pkg.e8()
+    if kind == "two_four":
+        return pkg.direct_sum(pkg.rank_one(2), pkg.rank_one(4))
     e8 = pkg.negate(pkg.e8()) if kind == "u2e8neg" else pkg.e8()
     return pkg.direct_sum(pkg.hyperbolic_u(), pkg.hyperbolic_u(), e8)
 
@@ -241,6 +261,133 @@ def run_transvection(pkg, case):
     return pkg.eichler_transvection(f, a, build_lattice(pkg, kind, d)).matrix.tolists()
 
 
+def reflection_cases(rng: random.Random, count: int, pkg) -> list:
+    """(kind, d, w): integral reflections through a marked plane, and the error paths."""
+    cases = []
+    for _ in range(count):
+        kind = rng.choice(("k3", "l_d", "e8", "two_four", "big_l"))
+        d = rng.randint(1, 12) if kind == "l_d" else 0
+        lat = build_lattice(pkg, kind, d)
+        bound = rng.choice((1, 2, 10, 1000))
+        w = [rng.randint(-bound, bound) for _ in range(lat.rank)]
+        shape = rng.random()
+        if shape < 0.4 and kind in MARKED:  # w = c + e + y f, with w^2 = c^2 + 2y = +-2 or +-1
+            e, f = rng.choice(MARKED[kind])
+            w[e] = w[f] = 0
+            c2 = lat.norm(w)
+            w[e], w[f] = 1, (rng.choice((1, -1)) * (2 - c2 % 2) - c2) // 2
+        elif shape < 0.55:
+            w = [rng.choice((1, -1, 2)) * x for x in lat.basis_vector(rng.randrange(lat.rank))]
+        elif shape < 0.6:  # isotropic
+            w = list(lat.basis_vector(MARKED[kind][0][0])) if kind in MARKED else [0] * lat.rank
+        elif shape < 0.65:  # one entry too short or too long
+            w = w[:-1] if rng.random() < 0.5 else w + [1]
+        cases.append((kind, d, tuple(w)))
+    return cases
+
+
+def run_reflection(pkg, case):
+    kind, d, w = case
+    return pkg.reflection(w, build_lattice(pkg, kind, d)).matrix.tolists()
+
+
+def parser_paths(parser, path=()):
+    """Every command path of an argparse parser, the parser itself first."""
+    yield path
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from parser_paths(child, path + (name,))
+
+
+def lattice_json(gram) -> str:
+    return json.dumps({"rank": len(gram), "gram": gram})
+
+
+def block_gram(*blocks) -> list:
+    """The Gram of the orthogonal sum of the square blocks."""
+    n = sum(len(b) for b in blocks)
+    gram, at = [[0] * n for _ in range(n)], 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            gram[at + i][at:at + len(b)] = row
+        at += len(b)
+    return gram
+
+
+def cli_cases(rng: random.Random, count: int, pkg) -> list:
+    """(argv, stdin text): every `--help`, then seeded commands on small lattices."""
+    cli = importlib.import_module(f"{pkg.__name__}.cli")
+    cases = [([*path, "--help"], "") for path in parser_paths(cli.build_parser())]
+    u, e8 = [[0, 1], [1, 0]], pkg.e8().gram.tolists()
+    for _ in range(count):
+        rank = rng.randint(1, 4)
+        sym = [[0] * rank for _ in range(rank)]
+        for i in range(rank):
+            for j in range(i, rank):
+                sym[i][j] = sym[j][i] = rng.randint(-3, 3)
+        b = [[rng.randint(-2, 2) for _ in range(rank)] for _ in range(rank)]
+        definite = [[sum(x * y for x, y in zip(r, s)) + (rng.randint(1, 3) if k == j else 0)
+                     for j, s in enumerate(b)] for k, r in enumerate(b)]
+        hyperbolic = block_gram(u, *([[-2 * rng.randint(1, 3)]] for _ in range(rng.randint(0, 2))))
+        vector = ",".join(str(rng.randint(-3, 3)) for _ in hyperbolic)
+        kind = rng.randrange(11)
+        if kind == 0:
+            name = rng.choice(("k3", "e8", "u", "big-l", "l_d", "rank-one", None))
+            argv = ["lattice", "build", *([name] if name else [])]
+            argv += rng.choice(([], ["--d", str(rng.randint(-1, 9))], ["--n", str(rng.randint(-3, 9))]))
+            cases.append((rng.choice(([], ["--raw-ints"])) + argv, ""))
+        elif kind == 1:
+            cases.append((["lattice", "info", *rng.choice(([], ["--table"]))], lattice_json(sym)))
+        elif kind == 2:
+            gram = rng.choice((definite, definite, sym, e8))
+            cases.append((["roots", "--norm", str(rng.randint(-1, 6))], lattice_json(gram)))
+        elif kind == 3:
+            flag = rng.choice((["--v", vector], [f"--v={vector}"]))
+            cases.append((["walls", *flag], lattice_json(hyperbolic)))
+        elif kind == 4:
+            argv = ["mindeg", "--box", str(rng.randint(1, 3)), "--norm-limit", str(rng.randint(1, 10))]
+            cases.append((argv, lattice_json(hyperbolic)))
+        elif kind == 5:
+            argv = ["verify-cert", "--v", vector, "--degree", str(rng.randint(1, 12))]
+            cases.append((argv, lattice_json(hyperbolic)))
+        elif kind == 6:  # one or two columns B in U + U + <2k>, with the source Gram B^T G B
+            target = block_gram(u, u, [[2 * rng.randint(1, 3)]])
+            cols = [[rng.randint(-2, 2) for _ in target] for _ in range(rng.randint(1, 2))]
+            source = [[sum(x * g * y for x, row in zip(c, target) for g, y in zip(row, c2)) for c2 in cols]
+                      for c in cols]
+            matrix = [list(r) for r in zip(*cols)]
+            payload = {"source": {"rank": len(cols), "gram": source},
+                       "target": {"rank": len(target), "gram": target}, "matrix": matrix}
+            cases.append((["complement"], json.dumps(payload)))
+        elif kind == 7:
+            argv = ["enumerate", "--rank", str(rng.randint(1, 3)), "--max-disc", str(rng.randint(1, 12))]
+            cases.append((argv + rng.choice(([], ["--csv"], ["--even", "--csv"])), ""))
+        elif kind == 8:
+            text = lattice_json(definite)
+            cases.append((["lattice", "info"], text[:rng.randrange(len(text))]))
+        else:  # usage errors
+            cases.append((rng.choice((["no-such-command"], ["roots"], ["roots", "--norm", "x"],
+                                      ["walls", "--v", "a,b"], ["lattice"], ["lattice", "build", "e9"],
+                                      ["clifford", "mul", "--extra"], [])), lattice_json(definite)))
+    return cases
+
+
+def run_cli(pkg, case):
+    argv, stdin_text = case
+    cli = importlib.import_module(f"{pkg.__name__}.cli")
+    saved = sys.stdin, sys.stdout, sys.stderr
+    sys.stdin, sys.stdout, sys.stderr = io.StringIO(stdin_text), io.StringIO(), io.StringIO()
+    try:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, sys.stdout.getvalue(), sys.stderr.getvalue()
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = saved
+
+
 FUNCTIONS = {
     "move_primitive_vector": (move_cases, run_move, 1.0),
     "move_long_coordinates": (long_move_cases, run_move, 0.02),
@@ -248,6 +395,8 @@ FUNCTIONS = {
     "_smith_mod": (smith_mod_cases, run_smith_mod, 2.0),
     "short_vectors": (short_vector_cases, run_short_vectors, 1.0),
     "eichler_transvection": (transvection_cases, run_transvection, 1.0),
+    "reflection": (reflection_cases, run_reflection, 1.0),
+    "cli": (cli_cases, run_cli, 0.2),
 }
 
 
@@ -312,6 +461,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--timeout", type=float, default=10.0, help="seconds per case and side (default 10)")
     args = parser.parse_args(argv)
     sys.set_int_max_str_digits(0)  # outputs of long-coordinate moves have more than 4,300 digits
+    os.environ["COLUMNS"] = "80"  # argparse wraps help and usage text at this width
     trees = [load_tree(args.left, "identity_left"), load_tree(args.right, "identity_right")]
     same = [compare(name, trees, args.cases, args.timeout) for name in FUNCTIONS]
     return 0 if all(same) else 1
