@@ -5,7 +5,7 @@ bounded discriminant has a reduced Gram representative inside an explicit
 coefficient box, so the lists below are finite and exhaustive.  Rank 2 uses
 the classical 0 <= 2b <= a <= c domain; rank 3 the Seeber-Eisenstein
 conditions (boundary classes may appear through more than one reduced
-matrix - the lists are deduplicated as matrices, not up to isometry).
+matrix - each matrix appears once, but the lists are not taken up to isometry).
 """
 
 from __future__ import annotations
@@ -31,71 +31,70 @@ class ReducedFormList:
         return [det_exact(f) for f in self.forms]
 
 
-def _rank2_reduced(max_disc: int):
+def _rank2_reduced(max_disc: int) -> list[tuple[int, int, int, int]]:
+    """(det, a, b, c) of the reduced binary forms [[a, b], [b, c]],
+    0 <= 2b <= a <= c, with det = ac - b^2 <= max_disc; det >= 3a^2/4 >= 1
+    on this domain, so the kept c are a <= c <= (max_disc + b^2) // a."""
     out = []
-    a = 1
-    while 3 * a * a <= 4 * max_disc:  # det >= (3/4) a^2 on the reduced domain
+    for a in range(1, isqrt(4 * max_disc // 3) + 1):
         for b in range(0, a // 2 + 1):
-            c = a
-            while a * c - b * b <= max_disc:
-                out.append(IntMatrix([[a, b], [b, c]]))  # det >= 3a^2/4 >= 1 here
-                c += 1
-        a += 1
+            out += [(a * c - b * b, a, b, c) for c in range(a, (max_disc + b * b) // a + 1)]
     return out
 
 
-def _rank3_reduced(max_disc: int):
-    """Seeber-Eisenstein reduced ternary forms with det <= max_disc.
-
-    Gram [[a, t, s], [t, b, r], [s, r, c]] with a <= b <= c, the off-diagonal
-    triple all positive or all nonpositive, 2|t|, 2|s| <= a, 2|r| <= b, and
-    a + b + 2(r + s + t) >= 0; a*b*c <= 2*max_disc bounds the search.
+def _rank3_reduced(max_disc: int) -> list[tuple[int, int, int, int, int, int, int]]:
+    """(det, a, t, s, b, r, c) of the Seeber-Eisenstein reduced ternary forms
+    [[a, t, s], [t, b, r], [s, r, c]] with 1 <= det <= max_disc: a <= b <= c,
+    the off-diagonal triple all positive or all nonpositive, 2|t|, 2|s| <= a,
+    2|r| <= b, and a + b + 2(r + s + t) >= 0; a*b*c <= 2*max_disc bounds the
+    search.  det = c*m + k with m = ab - t^2 and k = 2rst - ar^2 - bs^2, so the
+    kept c of each (a, b, t, s, r) form one interval.  The minors m and ac - s^2
+    are at least 3a^2/4 here, so a > 0, m > 0 and det >= 1 make every kept form
+    positive definite (Sylvester) and no minor needs a test.
     """
     out = []
     a = 1
     while a * a * a <= 2 * max_disc:
-        b = a
-        while a * b * b <= 2 * max_disc:
-            c = b
-            while a * b * c <= 2 * max_disc:
-                for t in range(-(a // 2), a // 2 + 1):
-                    for s in range(-(a // 2), a // 2 + 1):
-                        for r in range(-(b // 2), b // 2 + 1):
-                            offs = (r, s, t)
-                            if not (all(x > 0 for x in offs) or all(x <= 0 for x in offs)):
-                                continue
-                            if a + b + 2 * (r + s + t) < 0:
-                                continue
-                            g = IntMatrix([[a, t, s], [t, b, r], [s, r, c]])
-                            det = det_exact(g)
-                            if not 1 <= det <= max_disc:
-                                continue
-                            if a * c - s * s <= 0 or a * b - t * t <= 0:
-                                continue  # leading minors must stay positive
-                            out.append(g)
-                c += 1
-            b += 1
+        for b in range(a, isqrt(2 * max_disc // a) + 1):
+            c_max = 2 * max_disc // (a * b)
+            for t in range(-(a // 2), a // 2 + 1):
+                m = a * b - t * t
+                for s in range(-(a // 2), a // 2 + 1):
+                    for r in range(-(b // 2), b // 2 + 1):
+                        if not ((r > 0 and s > 0 and t > 0) or (r <= 0 and s <= 0 and t <= 0)):
+                            continue
+                        if a + b + 2 * (r + s + t) < 0:
+                            continue
+                        k = 2 * r * s * t - a * r * r - b * s * s
+                        c_lo = max(b, -((k - 1) // m))  # c*m + k >= 1
+                        c_hi = min(c_max, (max_disc - k) // m)
+                        out += [(c * m + k, a, t, s, b, r, c) for c in range(c_lo, c_hi + 1)]
         a += 1
     return out
 
 
+# rank: (generator of tuples (det, upper triangle in row order), Gram rows of such a tuple)
+_REDUCED = {
+    1: (lambda max_disc: [(a, a) for a in range(1, max_disc + 1)], lambda det, a: ((a,),)),
+    2: (_rank2_reduced, lambda det, a, b, c: ((a, b), (b, c))),
+    3: (_rank3_reduced, lambda det, a, t, s, b, r, c: ((a, t, s), (t, b, r), (s, r, c))),
+}
+
+
 def enumerate_lattices(rank: int, max_disc: int, even_only: bool = False) -> ReducedFormList:
     """All reduced positive definite Gram matrices of the given rank with
-    determinant between 1 and max_disc."""
+    determinant between 1 and max_disc, sorted by (determinant, entries)."""
     if rank not in (1, 2, 3):
         raise ValueError("rank must be 1, 2, or 3")
     if max_disc < 0:
         raise ValueError("max_disc must be nonnegative")
-    if rank == 1:
-        forms = [IntMatrix([[a]]) for a in range(1, max_disc + 1)]
-    elif rank == 2:
-        forms = _rank2_reduced(max_disc)
-    else:
-        forms = _rank3_reduced(max_disc)
+    generate, gram_rows = _REDUCED[rank]
+    keys = generate(max_disc)
+    keys.sort()  # each form appears once, and (det, upper triangle) orders as (det, rows)
+    rows = [gram_rows(*key) for key in keys]
     if even_only:
-        forms = [f for f in forms if all(f[i, i] % 2 == 0 for i in range(rank))]
-    uniq = sorted(set(forms), key=lambda f: (det_exact(f), f.tolists()))
-    return ReducedFormList(rank, max_disc, tuple(uniq), even_only)
+        rows = [g for g in rows if all(g[i][i] % 2 == 0 for i in range(rank))]
+    return ReducedFormList(rank, max_disc, tuple(IntMatrix._trusted(g, rank) for g in rows), even_only)
 
 
 def transcendental_invariants(pic: LatticeEmbedding) -> tuple[Lattice, int, int]:
@@ -139,9 +138,7 @@ def bounded_picard_candidates(max_rank: int, max_disc: int) -> list[IntMatrix]:
                 c_range = range(0, b)
             else:
                 c_range = range(a, (max_disc - b * b) // (4 * a) + 1)
-            for c in c_range:
-                disc = -(4 * a * c + b * b)
-                if disc < 0:  # genuine signature (1,1)
-                    out.append(IntMatrix([[2 * a, b], [b, -2 * c]]))
+            for c in c_range:  # signature (1,1): 4ac + b^2 > 0, as b > c >= 0 if a = 0, else c >= a >= 1
+                out.append(IntMatrix([[2 * a, b], [b, -2 * c]]))
             a += 1
     return out

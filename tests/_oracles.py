@@ -20,11 +20,30 @@ from k3lattices.linalg import (
     RatMatrix,
     det_exact,
     lll_reduce_gram,
-    rational_inverse,
     smith_normal_form,
-    unimodular_inverse,
 )
 from k3lattices.roots import short_vectors
+
+
+def fraction_inverse(m: IntMatrix) -> list[list[Fraction]]:
+    """m^-1 by textbook Gauss-Jordan over Q on [m | I]: the first nonzero
+    pivot at or below the diagonal, its row divided by it, and its column
+    cleared in every other row."""
+    n = m.rows
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(m.tolists())]
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if p is None:
+            raise ValueError("matrix is singular")
+        a[k], a[p] = a[p], a[k]
+        pivot = a[k][k]
+        a[k] = [x / pivot for x in a[k]]
+        for i in range(n):
+            if i != k and a[i][k] != 0:
+                factor = a[i][k]
+                a[i] = [x - factor * y for x, y in zip(a[i], a[k])]
+    return [row[n:] for row in a]
 
 
 def box_oracle(lat: Lattice, norm: int) -> set:
@@ -33,10 +52,10 @@ def box_oracle(lat: Lattice, norm: int) -> set:
     numpy (entries stay tiny, so the arithmetic is exact)."""
     import numpy as np
 
-    inv = rational_inverse(lat.gram)
+    inv = fraction_inverse(lat.gram)
     bounds = []
     for i in range(lat.rank):
-        b2 = norm * inv.entries[i][i]
+        b2 = norm * inv[i][i]
         bound = 0
         while (bound + 1) ** 2 <= b2:
             bound += 1
@@ -152,14 +171,40 @@ def rank2_reduced_oracle(max_disc: int) -> set:
     return hits
 
 
+def rank3_reduced_oracle(max_disc: int) -> set:
+    """Brute force over the Seeber box: a <= b <= c with a*b*c <= 2*max_disc,
+    every t, s in [-a/2, a/2] and r in [-b/2, b/2], each c tried on its own.
+    A Gram [[a, t, s], [t, b, r], [s, r, c]] is kept when its off-diagonal
+    triple is all positive or all nonpositive, a + b + 2(r + s + t) >= 0, and
+    it is positive definite with 1 <= det <= max_disc: the leading minors
+    a and ab - t^2 are positive, and det is the cofactor expansion along the
+    first row."""
+    hits = set()
+    box = 2 * max_disc
+    for a in range(1, box + 1):
+        for b in range(a, box // a + 1):
+            for c in range(b, box // (a * b) + 1):
+                for t, s, r in product(range(-(a // 2), a // 2 + 1), range(-(a // 2), a // 2 + 1),
+                                       range(-(b // 2), b // 2 + 1)):
+                    offs = (r, s, t)
+                    if not (all(x > 0 for x in offs) or all(x <= 0 for x in offs)):
+                        continue
+                    if a + b + 2 * (r + s + t) < 0:
+                        continue
+                    det = a * (b * c - r * r) - t * (t * c - r * s) + s * (t * r - b * s)
+                    if a * b - t * t > 0 and 1 <= det <= max_disc:
+                        hits.add(((a, t, s), (t, b, r), (s, r, c)))
+    return hits
+
+
 def discriminant_lifts_by_inverse(lat: Lattice) -> tuple:
     """Generator lifts of the discriminant group as G^-1 u^-1 e_i, one for
     each invariant factor d_i > 1 of u G v = d, with both inverses taken by
-    `rational_inverse` (fraction-free Gauss-Jordan), not read off v."""
+    `fraction_inverse`, not read off v."""
     snf = smith_normal_form(lat.gram)
-    ginv = rational_inverse(lat.gram)
-    uinv = rational_inverse(snf.u)
-    return tuple(tuple(ginv.apply([row[i] for row in uinv.entries]))
+    ginv = fraction_inverse(lat.gram)
+    uinv = fraction_inverse(snf.u)
+    return tuple(tuple(sum(map(mul, grow, [row[i] for row in uinv])) for grow in ginv)
                  for i in range(lat.rank) if snf.d[i, i] > 1)
 
 
@@ -259,10 +304,13 @@ def project_endo_by_dense_loop(f: EndoMatrix, host: Lattice) -> tuple[int, ...]:
     each dual vector and the trace summed over all 4^n products f[r,k] L[k,r];
     the same AssertionError when a quotient is not exact."""
     dim = 1 << host.rank
-    ginv = unimodular_inverse(host.gram)
+    ginv = fraction_inverse(host.gram)
+    if any(x.denominator != 1 for row in ginv for x in row):
+        raise ValueError("host lattice is not unimodular")
     coords = []
     for i in range(host.rank):
-        l_cols = left_mul_matrix(CliffordElement.from_vector(host, ginv.column(i))).entries.transpose()
+        dual = [int(row[i]) for row in ginv]
+        l_cols = left_mul_matrix(CliffordElement.from_vector(host, dual)).entries.transpose()
         tr = sum(sum(map(mul, f.entries.row(r), l_cols.row(r))) for r in range(dim))
         if tr % dim != 0:
             raise AssertionError(f"trace quotient not divisible by 2^n for dual vector {i}: {tr}")

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3lattices import cli, serialize as ser
-from k3lattices.lattices import Lattice, direct_sum, hyperbolic_u, rank_one, sublattice_embedding
+from k3lattices import cli, clifford as cl, serialize as ser
+from k3lattices.lattices import Lattice, direct_sum, hyperbolic_u, k3_lattice, rank_one, sublattice_embedding
 from k3lattices.linalg import IntMatrix
 
 
@@ -151,6 +151,45 @@ def test_clifford_project():
                         stdin_text=json.dumps({"lattice": host_obj, "endo": endo}))
     assert code == 0
     assert json.loads(out)["vector"] == [1]
+
+
+A2_PLUS = Lattice(3, IntMatrix([[2, 1, 0], [1, 2, 1], [0, 1, 2]]))
+
+
+def test_clifford_reversal():
+    x = cl.CliffordElement(A2_PLUS, {0: 1, 3: 2, 5: -1, 7: 3})
+    code, out = run_cli(["clifford", "reversal"], stdin_text=json.dumps(ser.clifford_to_obj(x)))
+    assert code == 0
+    assert out == ser.dumps(ser.clifford_to_obj(cl.reversal(x))) + "\n"
+
+
+def test_clifford_phi_a():
+    x = cl.CliffordElement(A2_PLUS, {0: 1, 3: 2, 5: -1, 7: 3})
+    y = cl.CliffordElement(A2_PLUS, {1: 1, 6: -2})
+    a = cl.CliffordElement(A2_PLUS, {3: 1, 4: 1})
+    payload = {"x": ser.clifford_to_obj(x), "y": ser.clifford_to_obj(y), "a": ser.clifford_to_obj(a)}
+    code, out = run_cli(["clifford", "phi-a"], stdin_text=json.dumps(payload))
+    assert code == 0
+    assert out == ser.dumps({"value": cl.phi_a(x, y, a)}) + "\n"
+    assert json.loads(out)["value"] != 0
+
+
+def test_clifford_gspin_on_k3_lattice():
+    lam = k3_lattice()
+    v, w = [int(i in (16, 17)) for i in range(22)], list(lam.basis_vector(0))  # norms 2 and 2
+    payload = {"lattice": ser.lattice_to_obj(lam), "v": v, "w": w}
+    code, out = run_cli(["clifford", "gspin"], stdin_text=json.dumps(payload))
+    assert code == 0
+    pair = cl.gspin_generator(v, w, lam)
+    report = cl.conjugation_preserves_lattice(pair, lam)
+    assert report.preserves
+    assert out == ser.dumps({
+        "g": ser.clifford_to_obj(pair.g),
+        "inverse_numerator": ser.clifford_to_obj(pair.inverse_numerator),
+        "denominator": pair.denominator,
+        "preserves_lattice": True,
+        "images": [list(u) for u in report.images],
+    }) + "\n"
 
 
 def test_lattice_info_table():

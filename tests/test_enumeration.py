@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from _oracles import rank2_reduced_oracle, rank3_reduced_oracle
 from k3lattices.enumeration import (
     bounded_picard_candidates,
     enumerate_lattices,
@@ -15,17 +16,6 @@ from k3lattices.lattices import (
     sublattice_embedding,
 )
 from k3lattices.linalg import IntMatrix, det_exact, rational_kernel, signature
-
-
-def rank2_oracle(max_disc):
-    """Dumb scan of the reduced domain over a generous box."""
-    hits = set()
-    for a in range(1, 2 * max_disc + 1):
-        for b in range(0, max_disc + 1):
-            for c in range(1, 2 * max_disc + 1):
-                if 0 <= 2 * b <= a <= c and 1 <= a * c - b * b <= max_disc:
-                    hits.add(((a, b), (b, c)))
-    return hits
 
 
 def test_rank1_enumeration():
@@ -47,7 +37,7 @@ def test_rank2_disc_one():
 def test_rank2_matches_oracle():
     for d in (1, 2, 5, 12, 20):
         got = {tuple(map(tuple, f.tolists())) for f in enumerate_lattices(2, d).forms}
-        assert got == rank2_oracle(d)
+        assert got == rank2_reduced_oracle(d)
 
 
 def test_counts_monotone():
@@ -76,6 +66,24 @@ def test_rank3_forms_valid_and_cover_small_discs():
 def test_rank3_includes_identity():
     forms = enumerate_lattices(3, 1).forms
     assert IntMatrix.identity(3) in forms
+
+
+@pytest.mark.parametrize("even_only", [False, True])
+def test_rank3_matches_seeber_box_oracle(even_only):
+    for d in (1, 8, 30, 60):
+        forms = enumerate_lattices(3, d, even_only).forms
+        got = {tuple(map(tuple, f.tolists())) for f in forms}
+        assert len(got) == len(forms)
+        want = rank3_reduced_oracle(d)
+        if even_only:
+            want = {g for g in want if all(g[i][i] % 2 == 0 for i in range(3))}
+        assert got == want
+
+
+def test_forms_sorted_by_det_then_entries():
+    for rank in (2, 3):
+        keys = [(det_exact(f), f.tolists()) for f in enumerate_lattices(rank, 50).forms]
+        assert all(x < y for x, y in zip(keys, keys[1:]))
 
 
 def test_even_only_filter():

@@ -45,6 +45,12 @@ Functions and their inputs:
   vectors (mostly not integral, so the error texts are compared), isotropic
   vectors and vectors one entry too short or too long.  The output is the
   matrix rows.
+- `enumerate_lattices`: ranks 1 to 3 at discriminant bounds 0 to 300, with
+  and without `even_only`; a quarter of the cases run
+  `bounded_picard_candidates` at ranks 1 and 2 instead, and one case in
+  twenty asks for rank 0 or 4 or a negative bound, so that the error texts
+  are compared too.  The output is (rank, max_disc, even_only, forms,
+  discs()), or the list of hyperbolic Grams.
 - `cli`: `k3lat --help` of every parser path, and seeded argvs run through
   `cli.main` in-process with JSON on stdin: `lattice build` and `info`,
   `roots`, `walls` (with `--v -1,-2` after a space), `mindeg`,
@@ -291,6 +297,27 @@ def run_reflection(pkg, case):
     return pkg.reflection(w, build_lattice(pkg, kind, d)).matrix.tolists()
 
 
+def enumeration_cases(rng: random.Random, count: int, pkg) -> list:
+    """(function name, rank, bound, even_only); one case in twenty is out of range."""
+    cases = []
+    for _ in range(count):
+        name = "bounded_picard_candidates" if rng.random() < 0.25 else "enumerate_lattices"
+        rank = rng.randint(1, 2 if name == "bounded_picard_candidates" else 3)
+        bound = rng.randint(0, 300)
+        if rng.random() < 0.05:  # a rank outside 1..3, or a negative bound
+            rank, bound = rng.choice(((0, bound), (4, bound), (rank, -rng.randint(1, 9))))
+        cases.append((name, rank, bound, rng.random() < 0.5))
+    return cases
+
+
+def run_enumeration(pkg, case):
+    name, rank, bound, even_only = case
+    if name == "bounded_picard_candidates":
+        return [m.tolists() for m in pkg.bounded_picard_candidates(rank, bound)]
+    forms = pkg.enumerate_lattices(rank, bound, even_only)
+    return forms.rank, forms.max_disc, forms.even_only, [f.tolists() for f in forms.forms], forms.discs()
+
+
 def parser_paths(parser, path=()):
     """Every command path of an argparse parser, the parser itself first."""
     yield path
@@ -396,6 +423,7 @@ FUNCTIONS = {
     "short_vectors": (short_vector_cases, run_short_vectors, 1.0),
     "eichler_transvection": (transvection_cases, run_transvection, 1.0),
     "reflection": (reflection_cases, run_reflection, 1.0),
+    "enumerate_lattices": (enumeration_cases, run_enumeration, 0.2),
     "cli": (cli_cases, run_cli, 0.2),
 }
 
