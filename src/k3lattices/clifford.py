@@ -3,23 +3,23 @@
 Elements are finitely supported integer combinations of basis monomials
 e_S = e_{i1}...e_{ik} (i1 < ... < ik), encoded by bitmask S.  Products follow
 e_i e_j + e_j e_i = 2 b(e_i, e_j) and e_i^2 = b(e_i, e_i), so the algebra is
-integral for every integer Gram matrix.  Product and trace tables live in one
-private `CliffordAlgebra` per host lattice, freed with the host.  Traces on the
-2^n-dimensional left-regular module have the closed form Tr(L_{e_S}) =
-2^n Pf(B_S), B_S the Gram of the e_i, i in S (Wick's rule), so traces need
-no matrix at any rank; phi-Grams and the projector to L are summed over the
-nonzero terms of the product tables, and phi_a reads the host's trace form
-when it is built.  The polarization search certifies det phi_a != 0 in
-closed form, from det G and a scalar a^2, and runs no elimination.  Only
-what builds a matrix on that module is capped: 2^n x 2^n realizations and
-phi-Grams, at MATRIX_RANK_CAP.
+integral for every integer Gram matrix, and e_S e_j has a closed form, the
+swap rule of `CliffordAlgebra.gen`: one private table per host, freed with it.
+Traces on the 2^n-dimensional left-regular module are Tr(L_{e_S}) =
+2^n Pf(B_S), B_S the Gram of the e_i, i in S (Wick's rule), so they need no
+matrix; the trace form is gathered by whole rows, phi-Grams sum its nonzero
+entries, and the projector to L reads e_j e_r in closed form.  The
+polarization search certifies det phi_a != 0 from det G and a scalar a^2,
+with no elimination.  Only 2^n x 2^n matrices are capped, at MATRIX_RANK_CAP.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from itertools import compress
 from math import comb, gcd
+from operator import add, itemgetter, mul, neg
 from typing import Iterable, Sequence
 
 from .lattices import Lattice
@@ -48,22 +48,20 @@ class CliffordAlgebra:
                 "trace_form_rows": len(self._trace_form or ())}
 
     def gen(self, mask: int, j: int) -> dict[int, int]:
-        """Expansion of e_mask * e_j in the monomial basis."""
+        """e_mask * e_j by the swap rule: e_j moves left past each h > j of
+        mask, top first, and each swap e_h e_j = 2 b(h, j) - e_j e_h leaves
+        2 b(h, j) e_{mask-h} and flips the sign; the last term is e_{mask+j},
+        or b(j, j) e_{mask-j} if j is in mask.  No coefficient is 0."""
         key = mask * self.n + j
         out = self._gen.get(key)
         if out is None:
-            top = mask.bit_length() - 1
-            if top < j:
-                out = {mask | 1 << j: 1}
-            elif top == j:
-                out = {mask ^ 1 << j: self.g[j][j]}
-            else:
-                # e_top e_j = 2 b(top, j) - e_j e_top, and every monomial of
-                # e_rest e_j has indices below top
-                rest = mask ^ 1 << top
-                out = {rest: 2 * self.g[j][top]}
-                out.update((m | 1 << top, -c) for m, c in self.gen(rest, j).items())
-            out = self._gen[key] = {m: c for m, c in out.items() if c}
+            terms, sign, row = [], 1, self.g[j]
+            for h in range(mask.bit_length() - 1, j, -1):
+                if mask >> h & 1:
+                    terms.append((mask ^ 1 << h, 2 * sign * row[h]))
+                    sign = -sign
+            terms.append((mask ^ 1 << j, sign * row[j] if mask >> j & 1 else sign))
+            out = self._gen[key] = {m: c for m, c in terms if c}
         return out
 
     def times(self, x: dict[int, int], js: Sequence[int]) -> dict[int, int]:
@@ -95,20 +93,29 @@ class CliffordAlgebra:
     def trace_form(self) -> list[list[int]]:
         """B'[I][K] = Tr(reversal(e_I) e_K), built by rows: with i the top
         index of I, reversal(e_I) = e_i reversal(e_{I-i}), so cyclicity gives
-        B'[I][K] = sum of c B'[I-i][m] over the terms c e_m of e_K e_i; odd
-        elements are traceless, so B'[I][K] = 0 unless deg I + deg K is even.
-        The reversal keeps traces, so B'[I][K] = Tr(reversal(e_K) e_I) =
-        B'[K][I]: row I copies its entries K < I from the rows above it."""
+        B'[I][K] = sum of c B'[I-i][m] over the terms c e_m of e_K e_i.  By
+        `gen`, slot h >= i of those terms has m = K xor h, and c = 0 unless
+        h = i or h is in K, so row I sums gathers c * row_{I-i}[m] over slots
+        tabled once; it is 0 where deg I + deg K is odd with no test, as is
+        row I-i at m (odd elements are traceless).  The reversal keeps traces,
+        so B'[I][K] = B'[K][I]: row I gathers K >= I and copies K < I."""
         if self._trace_form is None:
-            dim = 1 << self.n
+            n, dim, g = self.n, 1 << self.n, self.g
+            flip = [itemgetter(*[k ^ 1 << h for k in range(dim)]) for h in range(n)]  # dim >= 2: tuples
+            sign = [[-1 if bin(k >> h + 1).count("1") % 2 else 1 for k in range(dim)] for h in range(n)]
+            slots = [[(flip[i], [s * g[i][i] if k >> i & 1 else s for k, s in enumerate(sign[i])])]
+                     + [(flip[h], [2 * g[i][h] * s if k >> h & 1 else 0 for k, s in enumerate(sign[h])])
+                        for h in range(i + 1, n) if g[i][h]]
+                     for i in range(n)]
             self._trace_form = rows = [[dim * self.tau(k) for k in range(dim)]]
-            par = [bin(k).count("1") % 2 for k in range(dim)]
             for mask in range(1, dim):
                 i = mask.bit_length() - 1
                 prev = rows[mask ^ 1 << i]
-                rows.append([row[mask] for row in rows]
-                            + [sum(c * prev[m] for m, c in self.gen(k, i).items()) if par[k] == par[mask] else 0
-                               for k in range(mask, dim)])
+                (get, coefs), *rest = slots[i]
+                row = map(mul, coefs[mask:], get(prev)[mask:])
+                for get, coefs in rest:
+                    row = map(add, row, map(mul, coefs[mask:], get(prev)[mask:]))
+                rows.append([row_k[mask] for row_k in rows] + list(row))  # one int object per pair
         return self._trace_form
 
 
@@ -284,14 +291,15 @@ class PolarizationElement:
     def is_alternating(self) -> bool:
         # row i of -G against column i of G, one at a time, so no second matrix is held
         rows = [self.gram.row(i) for i in range(self.gram.rows)]
-        return all(tuple([-x for x in row]) == column for row, column in zip(rows, zip(*rows)))
+        return all(tuple(map(neg, row)) == column for row, column in zip(rows, zip(*rows)))
 
 
 def phi_gram(a: CliffordElement) -> IntMatrix:
     """Gram matrix of phi_a on the monomial basis of C(L), as B' R_a:
     phi_a(e_I, e_J) = Tr(reversal(e_I) e_J a) = sum_K B'[I][K] R_a[K][J], with
     B' the host's `CliffordAlgebra.trace_form` and R_a the sparse matrix of
-    right multiplication by a; row I sums the rows K of R_a with B'[I][K] != 0."""
+    right multiplication by a; row I sums the rows K of R_a that `compress`
+    picks, those with B'[I][K] != 0, so never a K of the other parity."""
     alg, dim = _algebra(a.host), 1 << a.host.rank
     r_a: list[list[tuple[int, int]]] = [[] for _ in range(dim)]  # row K: the (J, c) with c e_K in e_J a
     for j in range(dim):
@@ -300,8 +308,8 @@ def phi_gram(a: CliffordElement) -> IntMatrix:
     out = []
     for b_row in alg.trace_form():
         acc = [0] * dim
-        for b, r_a_row in zip(b_row, r_a):
-            for j, c in r_a_row if b else ():
+        for b, r_a_row in compress(zip(b_row, r_a), b_row):
+            for j, c in r_a_row:
                 acc[j] += b * c
         out.append(tuple(acc))
     return IntMatrix._trusted(tuple(out), dim)
@@ -444,8 +452,12 @@ def project_endo_to_l(f: EndoMatrix, host: Lattice) -> tuple[int, ...]:
 
     c_i = Tr(f . L_{e_i dual}) / 2^n; unimodularity makes the dual basis
     integral and every quotient exact, which is checked hard.  By linearity
-    c = G^-1 t / 2^n, with t_j = Tr(f L_{e_j}) the sum of f[r, k] c over the
-    terms c e_k of the products e_j e_r.
+    c = G^-1 t / 2^n, with t_j = Tr(f L_{e_j}).  By the swap rule (see
+    `CliffordAlgebra.gen`), e_j e_r is the sum over the h < j in r of
+    2 s b(j, h) e_{r xor h}, plus s b(j, j) e_{r xor j} if j is in r, else
+    s e_{r xor j}, with s = -1 to the number of indices of r below h (or j).
+    So t_j = 2 sum_{h<j} b(j, h) ins_h + b(j, j) ins_j + outs_j, with ins_h
+    (outs_h) the sum of s f[r, r xor h] over the r with h (without h).
     """
     if not host.is_unimodular():
         raise ValueError("integral projection needs a unimodular host")
@@ -454,9 +466,17 @@ def project_endo_to_l(f: EndoMatrix, host: Lattice) -> tuple[int, ...]:
     n, dim = host.rank, 1 << host.rank
     if f.dim != dim:
         raise ValueError("endomorphism dimension does not match the host")
-    alg, entries = _algebra(host), f.entries
-    t = [sum(c * entries[r, k] for r in range(dim) for k, c in alg.mul({1 << j: 1}, {r: 1}).items())
-         for j in range(n)]
+    ins, outs = [0] * n, [0] * n
+    for r in range(dim):
+        row, sign = f.entries.row(r), 1
+        for h in range(n):
+            if r >> h & 1:
+                ins[h] += sign * row[r ^ 1 << h]
+                sign = -sign
+            else:
+                outs[h] += sign * row[r ^ 1 << h]
+    t = [2 * sum(map(mul, g_j[:j], ins)) + g_j[j] * ins[j] + outs[j]
+         for j, g_j in enumerate(map(host.gram.row, range(n)))]
     traces = unimodular_inverse(host.gram).apply(t)  # G^-1 is symmetric
     for i, tr in enumerate(traces):
         if tr % dim != 0:

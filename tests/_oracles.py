@@ -286,16 +286,35 @@ def phi_a_oracle(x: CliffordElement, y: CliffordElement, a: CliffordElement) -> 
     return trace_of_left_mul(reversal(x) * y * a)
 
 
+def gen_by_anticommutation(gram: IntMatrix, mask: int, j: int) -> dict[int, int]:
+    """e_mask * e_j by recursion on the top index of mask, with no table:
+    e_top e_j = 2 b(top, j) - e_j e_top, and every monomial of e_rest e_j has
+    indices below top.  Zero coefficients are dropped at every level."""
+    top = mask.bit_length() - 1
+    if top < j:
+        out = {mask | 1 << j: 1}
+    elif top == j:
+        out = {mask ^ 1 << j: gram[j, j]}
+    else:
+        rest = mask ^ 1 << top
+        out = {rest: 2 * gram[j, top]}
+        out.update((m | 1 << top, -c) for m, c in gen_by_anticommutation(gram, rest, j).items())
+    return {m: c for m, c in out.items() if c}
+
+
 def trace_form_by_full_recurrence(host: Lattice) -> list[list[int]]:
-    """B'[I][K] = Tr(reversal(e_I) e_K) by the row recurrence on a fresh
-    algebra, every entry summed, the ones that parity forces to 0 included."""
+    """B'[I][K] = Tr(reversal(e_I) e_K) by the row recurrence, every entry
+    summed over the terms of `gen_by_anticommutation`, the entries that
+    parity forces to 0 included; only the Pfaffians of the first row come
+    from a fresh `CliffordAlgebra`."""
     alg = CliffordAlgebra(host.gram)
     dim = 1 << host.rank
     rows = [[dim * alg.tau(k) for k in range(dim)]]
     for mask in range(1, dim):
         i = mask.bit_length() - 1
         prev = rows[mask ^ 1 << i]
-        rows.append([sum(c * prev[m] for m, c in alg.gen(k, i).items()) for k in range(dim)])
+        rows.append([sum(c * prev[m] for m, c in gen_by_anticommutation(host.gram, k, i).items())
+                     for k in range(dim)])
     return rows
 
 

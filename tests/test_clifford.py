@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from _oracles import (
     find_polarization_oracle,
+    gen_by_anticommutation,
     mono_trace_by_module_loop,
     phi_a_oracle,
     phi_gram_oracle,
@@ -279,6 +280,28 @@ def test_phi_gram_matches_oracle():
             assert phi_gram(a) == phi_gram_oracle(a, traces)
 
 
+@settings(max_examples=80, deadline=None)
+@given(clifford_hosts())
+def test_generator_products_match_anticommutation(host):
+    alg = clifford.CliffordAlgebra(host.gram)
+    for mask in range(1 << host.rank):
+        for j in range(host.rank):
+            product = alg.gen(mask, j)
+            assert product == gen_by_anticommutation(host.gram, mask, j)
+            assert 0 not in product.values()
+
+
+def test_trace_form_at_ranks_zero_to_two():
+    # rank 0 has no slot to gather, and from rank 1 on every gather has
+    # 2^n >= 2 indices, so itemgetter returns tuples, never a single entry
+    hosts = [Lattice(0, IntMatrix([], cols=0)), rank_one(3), rank_one(0), I2, U,
+             Lattice(2, IntMatrix([[1, 1], [1, 1]])), Lattice(2, IntMatrix([[0, 2], [2, 0]])),
+             Lattice(2, IntMatrix([[-2, 1], [1, 3]]))]
+    for host in hosts:
+        assert clifford.CliffordAlgebra(host.gram).trace_form() == trace_form_by_full_recurrence(host)
+    assert clifford.CliffordAlgebra(hosts[0].gram).trace_form() == [[1]]
+
+
 def test_trace_form_matches_full_recurrence():
     # the parity skip stores 0 exactly where the full recurrence sums to 0
     rng = random.Random(67)
@@ -482,14 +505,14 @@ def test_polarization_counters_and_table_sizes():
     assert pol.candidates_tried == 1
     sizes = clifford._algebra(host).table_sizes()
     assert sizes["trace_form_rows"] == 8
-    # the search reads 20 of the 8 * 3 products e_mask e_j.  The trace form's
-    # row I reads e_K e_i (i the top index of I) only for K >= I and copies
-    # B'[K][I] for K < I, so e_0 e_2, e_1 e_2 and e_0 e_1 e_2 (the rows I >= 4
-    # at K = 1, 2, 3) are never read; its first row is Pfaffians only.  The
-    # search reverses no monomial but the accepted blade e_0 e_1, and the
-    # products e_J a, a = e_0 e_1 - 1, step by e_0 and e_1 only, so 1 * e_2 is
-    # not read either
-    assert sizes["generator_products"] == 20
+    # the search reads 14 of the 8 * 3 products e_mask e_j, all in the
+    # products e_J a of phi_gram, a = e_0 e_1 - 1: e_J e_0 for the 8 masks J,
+    # then e_m e_1 for the 6 monomials m of those.  b(0, 0) = 0 and b(0, 1) is
+    # the only nonzero b(0, h), so every term of e_J e_0 holds e_0 or lacks
+    # e_1: e_1 e_1 and e_1 e_2 e_1 are never read.  Reversing the accepted
+    # blade reads 1 * e_1 and e_1 e_0, both among these; nothing steps by e_2,
+    # and the trace form gathers its rows from the Gram and reads no product
+    assert sizes["generator_products"] == 14
     assert sizes["pfaffians"] == 8
     # the default keeps the dataclass constructible from element and Gram alone
     assert clifford.PolarizationElement(pol.element, pol.gram).candidates_tried == 0

@@ -51,6 +51,21 @@ Functions and their inputs:
   twenty asks for rank 0 or 4 or a negative bound, so that the error texts
   are compared too.  The output is (rank, max_disc, even_only, forms,
   discs()), or the list of hyperbolic Grams.
+- Clifford functions, on seeded hosts of rank 0 to 8 drawn like the hosts of
+  the `clifford-pairing` workload (general: +-1..3 on the diagonal and +-1 on
+  the cycle (i, i+1 mod n); unimodular: a +-1 diagonal under a bidiagonal
+  unimodular change of basis; degenerate-plane: e0 isotropic and orthogonal
+  to e1), plus zero-diagonal Grams and singular ones whose last basis vector
+  pairs like the first.  Outputs of 2^n x 2^n tables are SHA-256 digests.
+- `trace_form`: the rows of `CliffordAlgebra.trace_form` (digested).
+- `find_polarization_element`: (element, digest of the phi-Gram,
+  `candidates_tried`); at rank <= 1 and on det G = 0 the error text.
+- `phi_a`: phi_a(x, y, a) and phi_a(y, x, a) for elements of degree <= 2,
+  half of the cases after the host's trace form is built (the warm route).
+- `project_endo_to_l`: f = L_v for a vector v, L_x for an element of degree
+  <= 2, or a matrix unit E_{0, e_j}, whose traces 2^n does not divide (the
+  AssertionError text), on unimodular hosts and on a few others (the
+  ValueError text).
 - `cli`: `k3lat --help` of every parser path, and seeded argvs run through
   `cli.main` in-process with JSON on stdin: `lattice build` and `info`,
   `roots`, `walls` (with `--v -1,-2` after a space), `mindeg`,
@@ -318,6 +333,109 @@ def run_enumeration(pkg, case):
     return forms.rank, forms.max_disc, forms.even_only, [f.tolists() for f in forms.forms], forms.discs()
 
 
+CLIFFORD_KINDS = ("general", "unimodular", "degenerate-plane", "zero-diagonal", "singular")
+
+
+def clifford_gram(rng: random.Random, n: int, kind: str) -> list:
+    """A symmetric n x n Gram of the named kind (see the module docstring)."""
+    g = [[0] * n for _ in range(n)]
+    if kind == "unimodular":  # U^T D U, U = 1 + a +-1 superdiagonal, D a +-1 diagonal
+        u = [[1 if j == i else rng.choice((1, -1)) if j == i + 1 else 0 for j in range(n)] for i in range(n)]
+        d = [rng.choice((1, -1)) for _ in range(n)]
+        return [[sum(u[k][i] * d[k] * u[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        g[i][i] = 0 if kind == "zero-diagonal" else rng.choice((1, -1)) * rng.randint(1, 3)
+        j = (i + 1) % n
+        if j != i:
+            g[i][j] = g[j][i] = rng.choice((1, -1, 2, -2) if kind == "zero-diagonal" else (1, -1))
+    if kind == "degenerate-plane" and n >= 3:
+        g[0][0] = g[0][1] = g[1][0] = 0
+        g[0][2] = g[2][0] = rng.choice((1, -1))
+    if kind == "singular" and n >= 2:
+        for i in range(n):
+            g[i][n - 1] = g[n - 1][i] = g[i][0]
+        g[n - 1][n - 1] = g[0][0]
+    return g
+
+
+def clifford_host(pkg, rank: int, gram):
+    return pkg.Lattice(rank, pkg.IntMatrix(gram, cols=rank))
+
+
+def low_degree(rng: random.Random, n: int) -> dict:
+    """{mask: coefficient} on up to three of 1, the e_i and the e_i e_j."""
+    masks = [0] + [1 << i for i in range(n)] + [1 << i | 1 << j for i in range(n) for j in range(i)]
+    return {m: rng.choice((1, -1)) * rng.randint(1, 3) for m in rng.sample(masks, min(3, len(masks)))}
+
+
+def digest(rows) -> str:
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def clifford_cases(rng: random.Random, count: int, pkg) -> list:
+    """(rank, gram, kind): ranks 0 to 8 in turn, kinds drawn."""
+    cases = []
+    for i in range(count):
+        kind = rng.choice(CLIFFORD_KINDS)
+        cases.append((i % 9, clifford_gram(rng, i % 9, kind), kind))
+    return cases
+
+
+def run_trace_form(pkg, case):
+    rank, gram, _ = case
+    return digest(pkg.clifford.CliffordAlgebra(pkg.IntMatrix(gram, cols=rank)).trace_form())
+
+
+def run_find_a(pkg, case):
+    rank, gram, _ = case
+    pol = pkg.find_polarization_element(clifford_host(pkg, rank, gram))
+    return sorted(pol.element.coeffs.items()), digest(pol.gram.tolists()), pol.candidates_tried
+
+
+def phi_a_cases(rng: random.Random, count: int, pkg) -> list:
+    """(rank, gram, x, y, a, warm)."""
+    return [(rank, gram, low_degree(rng, rank), low_degree(rng, rank), low_degree(rng, rank), rng.random() < 0.5)
+            for rank, gram, _ in clifford_cases(rng, count, pkg)]
+
+
+def run_phi_a(pkg, case):
+    rank, gram, x, y, a, warm = case
+    host = clifford_host(pkg, rank, gram)
+    if warm:
+        pkg.clifford._algebra(host).trace_form()
+    x, y, a = (pkg.CliffordElement(host, z) for z in (x, y, a))
+    return pkg.phi_a(x, y, a), pkg.phi_a(y, x, a)
+
+
+def project_cases(rng: random.Random, count: int, pkg) -> list:
+    """(rank, gram, f kind, data): unimodular hosts of rank 1 to 8, one case
+    in five on another kind of host."""
+    cases = []
+    for i in range(count):
+        rank = i % 8 + 1
+        kind = "unimodular" if rng.random() < 0.8 else rng.choice(CLIFFORD_KINDS)
+        f_kind = rng.choice(("vector", "vector", "element", "unit"))
+        if f_kind == "vector":
+            data = {1 << k: rng.randint(-3, 3) for k in range(rank)}
+        elif f_kind == "element":
+            data = low_degree(rng, rank)
+        else:
+            data = rng.randrange(rank)
+        cases.append((rank, clifford_gram(rng, rank, kind), f_kind, data))
+    return cases
+
+
+def run_project(pkg, case):
+    rank, gram, f_kind, data = case
+    host, dim = clifford_host(pkg, rank, gram), 1 << rank
+    if f_kind == "unit":  # E_{0, e_j}: Tr(f L_{e_j}) = 1
+        f = pkg.EndoMatrix(dim, pkg.IntMatrix([[int(r == 0 and k == 1 << data) for k in range(dim)]
+                                               for r in range(dim)]))
+    else:
+        f = pkg.left_mul_matrix(pkg.CliffordElement(host, data))
+    return pkg.project_endo_to_l(f, host)
+
+
 def parser_paths(parser, path=()):
     """Every command path of an argparse parser, the parser itself first."""
     yield path
@@ -424,6 +542,10 @@ FUNCTIONS = {
     "eichler_transvection": (transvection_cases, run_transvection, 1.0),
     "reflection": (reflection_cases, run_reflection, 1.0),
     "enumerate_lattices": (enumeration_cases, run_enumeration, 0.2),
+    "trace_form": (clifford_cases, run_trace_form, 0.2),
+    "find_polarization_element": (clifford_cases, run_find_a, 0.2),
+    "phi_a": (phi_a_cases, run_phi_a, 0.3),
+    "project_endo_to_l": (project_cases, run_project, 0.2),
     "cli": (cli_cases, run_cli, 0.2),
 }
 
