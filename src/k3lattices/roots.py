@@ -2,9 +2,10 @@
 
 `short_vectors` is integral LLL, then fraction-free Fincke-Pohst, provably
 complete: the all-integer LDL^T that LLL keeps (one Bareiss pass per search),
-integer square roots, half the tree (one of each +-v) and a scalar test for
-the last coordinate.  Each vector is packed into one int, so a child costs one
-multiply-add and the hits are sorted as ints and decoded once.
+integer square roots, half the tree (one of each +-v), and the last two
+coordinates closed from a table of plane solutions built once per search.
+Each vector is packed into one int, so a child costs one multiply-add; the
+half's hits are sorted as ints, merged with their negations and decoded once.
 On a hyperbolic lattice (signature (1, rank-1)) the vectors w with w^2 = -2
 orthogonal to a fixed v of positive square lie in the negative definite v-perp,
 so the wall test is finite: one enumeration of a positive definite majorant,
@@ -22,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt, lcm, prod
-from operator import mul
+from itertools import repeat
+from operator import itemgetter, mul, neg, sub
 from struct import iter_unpack
 from typing import Sequence
 
@@ -30,6 +32,7 @@ from .lattices import Lattice
 from .linalg import IntMatrix, lll_reduce_gram
 
 Vector = tuple[int, ...]
+_FLIP = bytes(b ^ 0x80 for b in range(256))
 
 
 @dataclass(frozen=True)
@@ -48,26 +51,49 @@ def short_vectors(n: Lattice, target_norm: int) -> ShortVectorReport:
 
     Integral LLL, then fraction-free Fincke-Pohst, provably complete, on one
     LDL^T: LLL's own d_k and lambda_kl are the integer data of `ldlt` for the
-    reduced basis.  With C_i = sum_{j>i} M_ji x_j, the norm is
-    sum_i (D_{i+1} x_i + C_i)^2 / (D_i D_{i+1}).  Scaling by
-    N = lcm(D_i D_{i+1}) with w_i = N / (D_i D_{i+1}) leaves an integer budget,
-    and each coordinate, from the last one down, runs over exactly the x_i with
-    w_i (D_{i+1} x_i + C_i)^2 within what is left.  The tree is walked for one
-    of each +-v, the one whose last nonzero reduced coordinate is positive.
-    x_0 is closed inline from level 1 as w_0 y^2 == what is left, so the leaves
-    build nothing but the hits.  `nodes` counts the x_i tried for i >= 1.
+    reduced basis.  With C_i = sum_{j>i} M_ji x_j and y_i = D_{i+1} x_i + C_i,
+    the norm is sum_i y_i^2 / (D_i D_{i+1}).  Scaling by N = lcm(D_i D_{i+1})
+    with w_i = N / (D_i D_{i+1}) leaves an integer budget, and each coordinate,
+    from the last one down, runs over exactly the x_i with w_i y_i^2 within
+    what is left: |y_i| <= R = isqrt(left // w_i).  The tree is walked for one
+    of each +-v, the one whose last nonzero reduced coordinate is positive:
+    while every x_j, j > i, is 0, C_i = 0 and x_i >= 0.  `nodes` counts the x_i
+    tried for i >= 1.
+
+    Levels 1 and 0 are closed from a table, built once per search.  At level 2
+    each x_2 leaves rem; write C_1 = D_2 k + r_1 with 0 <= r_1 < D_2 and
+    z = x_1 + k, so y_1 = D_2 z + r_1.  Then the (x_1, x_0) below are the
+    (z, y_0) with w_1 (D_2 z + r_1)^2 + w_0 y_0^2 == rem, a set fixed by
+    (rem, r_1) alone, read as x_1 = z - k and x_0 = (y_0 - C_0 - x_1 M_10) / D_1
+    (C_0 before x_1) where that divides.  Its numerator is u - c with
+    u = y_0 - z M_10 and c = C_0 - k M_10: exact iff u = c mod D_1, and then
+    x_0 = u // D_1 - c // D_1.  So the entry of (rem, r_1) keeps, by u mod D_1,
+    the offsets z pack(b_1) + (u // D_1) pack(b_0), and a node adds
+    pack(its x_j, j >= 2) - k pack(b_1) - (c // D_1) pack(b_0) to each of the
+    residue c mod D_1.  It keeps the count of x_1 too: |D_2 z + r_1| <= R
+    is -((R + r_1) // D_2) <= z <= (R - r_1) // D_2, which is
+    (R - r_1) // D_2 + (R + r_1) // D_2 + 1 values of x_1 = z - k for every k.
+    The node with every x_j, j >= 2, zero (the whole tree at rank <= 2) has
+    C_1 = C_0 = 0, rem = budget and x_1 >= 0, so R // D_2 + 1 values; its own
+    loop closes it, keeping y_0 > 0 when x_1 = 0.
 
     Each vector is one int, pack(v) = sum_k v_k 2^(s (r-1-k)), v_0 the most
     significant.  pack is Z-linear, so a child adds x pack(b_i) to its parent's
-    image and a hit's negation is -pack(v).  The field width s, a multiple of 8,
-    makes |v_k| < 2^(s-2): v_k^2 <= n (G^-1)_kk (Cauchy-Schwarz) and
-    (G^-1)_kk <= prod_{j != k} g_jj / det G (Hadamard, det G = D_r); past 8
-    bytes that bound on the reduced x_l gives |v_k| <= sum_l |b_lk| |x_l|.  If v
-    and w first differ at k, the rest of pack(v) - pack(w) is below
-    2^(s-1) sum_{t < r-1-k} 2^(st) < 2^(s (r-1-k)), so integer order is
-    lexicographic order and the hits are sorted as ints.  Adding bias, 2^(s-1)
-    in each field, makes field k v_k + 2^(s-1), in [0, 2^s) with no carry; xor
-    with bias leaves v_k in s-bit two's complement for `struct`.
+    image.  The field width s, a multiple of 8, makes |v_k| < 2^(s-2):
+    v_k^2 <= n (G^-1)_kk (Cauchy-Schwarz) and (G^-1)_kk <= prod_{j != k} g_jj / det G
+    (Hadamard, det G = D_r); past 8 bytes that bound on the reduced x_l, with
+    b_l^2 = sum_i w_i M_li^2 / N, gives |v_k| <= sum_l |b_lk| |x_l|, and s is
+    not rounded up to a power of two.  If v and w first differ at k, the rest
+    of pack(v) - pack(w) is below 2^(s-1) sum_{t < r-1-k} 2^(st) < 2^(s (r-1-k)),
+    so integer order is lexicographic order.  A hit is kept as
+    h = pack(v) + bias, bias 2^(s-1) in each field: field k of h is
+    v_k + 2^(s-1), in [0, 2^s) with no carry, and -v is 2 bias - h.  The half
+    tree's hits are sorted; their negations, in the same order, descend
+    strictly, so the list with them appended is two runs, which `list.sort`
+    merges in linear time.  Flipping the top bit of each field leaves v_k in
+    s-bit two's complement for `struct`; past 8 bytes each field of the sorted
+    half is read by `int.from_bytes`, less 2^(s-1), and the half is negated as
+    tuples, whose negations descend strictly too.
     """
     if target_norm <= 0:
         raise ValueError("target norm must be positive")
@@ -78,68 +104,99 @@ def short_vectors(n: Lattice, target_norm: int) -> ShortVectorReport:
     rank = n.rank
     if rank == 0:
         return ShortVectorReport(n, target_norm, ())
-    diagonal = [n.gram[k, k] for k in range(rank)]
-    bound = isqrt(target_norm * (prod(diagonal) // min(diagonal)) // minors[rank])  # >= every |v_k|
-    if bound >> 62:  # a skewed basis: bound v = sum_l x_l basis[l] with the reduced Gram instead
-        diagonal = [n.norm(b) for b in basis]
-        xs = [isqrt(target_norm * (prod(diagonal) // g) // minors[rank]) for g in diagonal]
-        bound = min(bound, max(sum(abs(b[k]) * x for b, x in zip(basis, xs)) for k in range(rank)))
-    width = 1 << ((bound.bit_length() + 9) // 8 - 1).bit_length()  # bytes per field: 1, 2, 4, 8, 16, ...
-    powers = [1 << 8 * width * k for k in range(rank - 1, -1, -1)]  # pack(v) = sum_k v_k powers[k]
-    denominators = [minors[i] * minors[i + 1] for i in range(rank)]
+    denominators = list(map(mul, minors, minors[1:]))
     scale = lcm(*denominators)
     weights = [scale // q for q in denominators]
     budget = scale * target_norm
-    rows = [row[:i] for i, row in enumerate(numer)]  # rows[i][l] is M_il, l < i
+    diagonal = [row[k] for k, row in enumerate(n.gram._entries)]
+    bound = isqrt(target_norm * (prod(diagonal) // min(diagonal)) // minors[rank])  # >= every |v_k|
+    if bound >> 62:  # a skewed basis: bound v = sum_l x_l basis[l] with the reduced Gram instead
+        diagonal = [sum(map(mul, weights, map(mul, row, row))) // scale for row in numer]  # b_l^2
+        xs = [isqrt(target_norm * (prod(diagonal) // g) // minors[rank]) for g in diagonal]
+        bound = min(bound, max(sum(abs(b[k]) * x for b, x in zip(basis, xs)) for k in range(rank)))
+    width = (bound.bit_length() + 9) // 8  # bytes per field: 1, 2, 4 or 8, else as many as it takes
+    width = width if width > 8 else 1 << (width - 1).bit_length()
+    powers = [1 << 8 * width * k for k in range(rank - 1, -1, -1)]  # pack(v) = sum_k v_k powers[k]
+    bias = sum(powers) << 8 * width - 1  # each hit is stored as pack(v) + bias
     if rank == 1:  # a phantom level 1 whose weight exceeds the budget admits only x_1 = 0
         minors.append(1)
         weights.append(budget + 1)
-        rows.append([0])
+        numer.append([0, 1])
         basis.append([0])
     packed = [sum(map(mul, b, powers)) for b in basis]
-    weight0, pivot0, packed0 = weights[0], minors[1], packed[0]
-    found: list[int] = []
-    nodes = 0
-
-    def descend(i: int, remaining: int, centers: list[int], image: int, signed: bool) -> None:
-        # centers[l] is C_l for l <= i; image is pack(sum x_l basis[l]) over the x_l chosen so far;
-        # signed: some chosen x_l is nonzero, so x_i may be negative (else C_i == 0 and x_i >= 0)
-        nonlocal nodes
-        center, pivot, weight = centers[i], minors[i + 1], weights[i]
+    weight0, pivot0, packed0, weight1, pivot1, packed1, m10 = (
+        weights[0], minors[1], packed[0], weights[1], minors[2], packed[1], numer[1][0])
+    # the node with every x_i, i >= 2, zero (the whole tree at rank <= 2): x_1 >= 0, and y_0 > 0 if x_1 = 0
+    top = isqrt(budget // weight1) // pivot1
+    nodes = top + 1
+    found: list[int] = []  # one of each +-v
+    for x in range(top + 1):
+        y = pivot1 * x
+        rest = budget - weight1 * y * y
+        root0 = isqrt(rest // weight0)
+        if weight0 * root0 * root0 == rest:
+            for y0 in (root0, -root0) if root0 and x else (root0,):
+                x0, r = divmod(y0 - x * m10, pivot0)
+                if r == 0:
+                    found.append(bias + x * packed1 + x0 * packed0)
+    # (rem, r_1): (the count of x_1, the offsets by u mod D_1)
+    plane: dict[tuple[int, int], tuple[int, dict[int, list[int]]]] = {}
+    stack = [(rank - 1, budget, [0] * rank, bias, False)] if rank > 2 else []
+    while stack:
+        # a node at level i >= 2: centers[l] is C_l for l <= i (y_{i+1} may follow); image is
+        # bias + pack(sum x_l basis[l]) over the x_l chosen so far; signed: some chosen x_l is
+        # nonzero, so x_i may be negative (else C_i == 0 and x_i >= 0)
+        i, remaining, centers, image, signed = stack.pop()
+        center, pivot, weight, row, step = centers[i], minors[i + 1], weights[i], numer[i], packed[i]
         root = isqrt(remaining // weight)
         lo, hi = -((root + center) // pivot) if signed else 0, (root - center) // pivot
         nodes += hi - lo + 1
-        row, step = rows[i], packed[i]
-        if i > 1:
+        if i > 2:
             for x in range(lo, hi + 1):
                 y = pivot * x + center
-                descend(i - 1, remaining - weight * y * y,
-                        [c + x * m for c, m in zip(centers, row)], image + x * step, signed or x > 0)
-            return
-        center0, m = centers[0], row[0]
-        for x in range(lo, hi + 1):
-            # x_0, the last coordinate, must use up the budget: w_0 y_0^2 == rest
+                stack.append((i - 1, remaining - weight * y * y, [c + x * m for c, m in zip(centers, row)],
+                              image + x * step, signed or x > 0))
+            continue
+        c0, c1, m0, m1 = centers[0], centers[1], row[0], row[1]
+        for x in range(lo if signed else 1, hi + 1):  # unsigned, x_2 = 0 is the node closed above
             y = pivot * x + center
-            rest = remaining - weight * y * y
-            root0 = isqrt(rest // weight0)
-            if weight0 * root0 * root0 != rest:
-                continue
-            c0 = center0 + x * m
-            for y0 in (root0, -root0) if root0 and (signed or x > 0) else (root0,):
-                x0, r = divmod(y0 - c0, pivot0)
-                if r == 0:
-                    found.extend((p := image + x * step + x0 * packed0, -p))
-
-    descend(len(rows) - 1, budget, [0] * len(rows), 0, False)
-    descend = None  # it refers to itself: free the walk's lists now, not at the next gc pass
+            rem = remaining - weight * y * y
+            k, r1 = divmod(c1 + x * m1, pivot1)
+            entry = plane.get((rem, r1))
+            if entry is None:  # every (z, y_0) with w_1 (D_2 z + r_1)^2 + w_0 y_0^2 == rem
+                root = isqrt(rem // weight1)
+                groups: dict[int, list[int]] = {}
+                for z in range(-((root + r1) // pivot1), (root - r1) // pivot1 + 1):
+                    y1 = pivot1 * z + r1
+                    rest = rem - weight1 * y1 * y1
+                    root0 = isqrt(rest // weight0)
+                    if weight0 * root0 * root0 == rest:
+                        for y0 in (root0, -root0) if root0 else (0,):
+                            q, r = divmod(y0 - z * m10, pivot0)
+                            groups.setdefault(r, []).append(z * packed1 + q * packed0)
+                entry = plane[rem, r1] = (root - r1) // pivot1 + (root + r1) // pivot1 + 1, groups
+            nodes += entry[0]
+            q, r = divmod(c0 + x * m0 - k * m10, pivot0)
+            hits = entry[1].get(r)
+            if hits:
+                base = image + x * step - k * packed1 - q * packed0
+                found += [base + h for h in hits]
     found.sort()
-    bias, size = sum(powers) << 8 * width - 1, rank * width
-    raw = b"".join([((p + bias) ^ bias).to_bytes(size, "big") for p in found])
+    size = rank * width
+    if width > 8:  # field k of a hit's bytes is v_k + 2^(s-1), unsigned
+        raw = b"".join([h.to_bytes(size, "big") for h in found])
+        fields = map(int.from_bytes, map(itemgetter(0), iter_unpack(f">{width}s", raw)), repeat("big"))
+        found = list(zip(*[map(sub, fields, repeat(1 << 8 * width - 1))] * rank))
+        found += [tuple(map(neg, v)) for v in found]
+        found.sort()
+        return ShortVectorReport(n, target_norm, tuple(found), nodes)
+    twice = 2 * bias
+    found += [twice - h for h in found]
+    found.sort()
+    raw = bytearray(b"".join([h.to_bytes(size, "big") for h in found]))
     del found  # the ints go before the tuples are built
-    code = "bhiq"[width.bit_length() - 1] if width <= 8 else f"{width}s"
-    vectors = tuple(iter_unpack(">" + code * rank, raw))
-    if width > 8:  # the fields come as bytes
-        vectors = tuple(tuple([int.from_bytes(f, "big", signed=True) for f in v]) for v in vectors)
+    raw[::width] = raw[::width].translate(_FLIP)  # the top byte of each field
+    vectors = tuple(iter_unpack(">" + "bhiq"[width.bit_length() - 1] * rank, raw))
     return ShortVectorReport(n, target_norm, vectors, nodes)
 
 

@@ -1,9 +1,12 @@
 import gc
 import random
 from itertools import product
+from math import isqrt, lcm
 from struct import iter_unpack
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import box_candidates_oracle, box_oracle, short_vectors_full_tree, walls_by_complement_oracle
 from k3lattices import lattices, linalg, roots
@@ -121,13 +124,87 @@ def test_short_vectors_matches_full_tree_oracle():
 
 
 def test_short_vectors_half_tree_nodes():
-    # one of each +-v: about half the full tree's coordinate values, pinned so
-    # that losing the half tree fails here rather than only in a timing run
-    for norm, nodes, full in ((2, 253, 499), (6, 4776, 9545)):
-        report = short_vectors(e8(), norm)
+    # one of each +-v: the full tree's coordinate values are twice the half
+    # tree's, less one for the x_i = 0 that the chain of all-zero nodes shares
+    # at each level i >= 1; pinned so that losing the half tree fails here
+    # rather than only in a timing run
+    cases = ((e8(), 2, 253, 499), (e8(), 4, 1574, 3141), (e8(), 6, 4776, 9545),
+             (direct_sum(e8(), e8()), 2, 1467, 2919))
+    for lat, norm, nodes, full in cases:
+        report = short_vectors(lat, norm)
         assert report.nodes == nodes
-        assert short_vectors_full_tree(e8(), norm) == (report.vectors, full)
-        assert 2 * nodes <= full + 2 * 8
+        assert short_vectors_full_tree(lat, norm) == (report.vectors, full)
+        assert full == 2 * nodes - (lat.rank - 1)
+
+
+def cartan_a(n, shift=0):
+    """The Cartan matrix of A_n plus shift times the identity."""
+    return Lattice(n, IntMatrix([[2 + shift if i == j else -(abs(i - j) == 1) for j in range(n)] for i in range(n)]))
+
+
+def skewed(lat, seed, moves=10):
+    u = IntMatrix(random_column_moves(random.Random(seed), lat.rank, moves))
+    return Lattice(lat.rank, u.transpose() @ lat.gram @ u)
+
+
+def level_two_keys(lat, norm):
+    """(D_1, D_2) and the (rem, r_1, k) of every x_2 of the half tree that the
+    level-2 table of `short_vectors` serves, from LLL's data and a plain walk
+    of the full tree over the levels >= 2: rem is the budget that x_2 leaves
+    and C_1 = D_2 k + r_1 the centre of x_1."""
+    minors, numer, _ = linalg.lll_reduce_gram(lat.gram)
+    denominators = [minors[i] * minors[i + 1] for i in range(lat.rank)]
+    scale = lcm(*denominators)
+    weights = [scale // q for q in denominators]
+    keys = []
+
+    def walk(i, remaining, centers, xs):
+        root, pivot, center = isqrt(remaining // weights[i]), minors[i + 1], centers[i]
+        for x in range(-((root + center) // pivot), (root - center) // pivot + 1):
+            y = pivot * x + center
+            below = [c + x * m for c, m in zip(centers, numer[i][:i])]
+            if i > 2:
+                walk(i - 1, remaining - weights[i] * y * y, below, xs + (x,))
+            elif next((v for v in xs + (x,) if v), 0) > 0:  # the half tree: first nonzero from the top positive
+                k, r1 = divmod(below[1], minors[2])
+                keys.append((remaining - weights[i] * y * y, r1, k))
+
+    walk(lat.rank - 1, scale * norm, [0] * lat.rank, ())
+    return minors[1:3], keys
+
+
+def test_short_vectors_level_two_table_every_residue():
+    # skewed bases whose D_1 and D_2 exceed 1 and whose level-2 nodes meet every residue r_1 mod D_2
+    for lat, norm in ((skewed(cartan_a(5), 0), 6), (skewed(cartan_a(6, 1), 1), 8), (skewed(e8(), 0, 20), 4)):
+        (d1, d2), keys = level_two_keys(lat, norm)
+        assert d1 > 1 and d2 > 2 and {r1 for _, r1, _ in keys} == set(range(d2))
+        report = short_vectors(lat, norm)
+        assert short_vectors_full_tree(lat, norm) == (report.vectors, 2 * report.nodes - (lat.rank - 1))
+
+
+def test_short_vectors_level_two_table_reused_across_k():
+    # in E8's Dynkin basis two level-2 nodes leave the same (rem, r_1) with different k,
+    # so one table entry serves both, shifted by its own k
+    _, keys = level_two_keys(e8(), 2)
+    ks: dict = {}
+    for rem, r1, k in keys:
+        ks.setdefault((rem, r1), set()).add(k)
+    assert len(keys) > len(ks) and any(len(k) > 1 for k in ks.values())
+    report = short_vectors(e8(), 2)
+    assert short_vectors_full_tree(e8(), 2) == (report.vectors, 2 * report.nodes - 7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 7), st.sampled_from(["random", "cartan", "cartan+1"]), st.integers(0, 2 ** 32),
+       st.booleans(), st.integers(1, 8))
+def test_short_vectors_matches_full_tree_property(rank, family, seed, skew, norm):
+    # ranks 3-7, where level 2 closes levels 1 and 0 from the table
+    rng = random.Random(seed)
+    lat = random_posdef(rng, rank) if family == "random" else cartan_a(rank, family == "cartan+1")
+    if skew:
+        lat = skewed(lat, seed)
+    report = short_vectors(lat, norm)
+    assert short_vectors_full_tree(lat, norm) == (report.vectors, 2 * report.nodes - (rank - 1))
 
 
 def test_short_vectors_factors_once(monkeypatch):
