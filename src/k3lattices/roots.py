@@ -68,9 +68,9 @@ def short_vectors(n: Lattice, target_norm: int) -> ShortVectorReport:
     (C_0 before x_1) where that divides.  Its numerator is u - c with
     u = y_0 - z M_10 and c = C_0 - k M_10: exact iff u = c mod D_1, and then
     x_0 = u // D_1 - c // D_1.  So the entry of (rem, r_1) keeps, by u mod D_1,
-    the offsets z pack(b_1) + (u // D_1) pack(b_0), and a node adds
-    pack(its x_j, j >= 2) - k pack(b_1) - (c // D_1) pack(b_0) to each of the
-    residue c mod D_1.  It keeps the count of x_1 too: |D_2 z + r_1| <= R
+    the offsets z pack(b_1) + (u // D_1) pack(b_0), and a node adds its image
+    (below) less k pack(b_1) + (c // D_1) pack(b_0) to each offset of residue
+    c mod D_1.  The entry keeps the count of x_1 too: |D_2 z + r_1| <= R
     is -((R + r_1) // D_2) <= z <= (R - r_1) // D_2, which is
     (R - r_1) // D_2 + (R + r_1) // D_2 + 1 values of x_1 = z - k for every k.
     The node with every x_j, j >= 2, zero (the whole tree at rank <= 2) has
