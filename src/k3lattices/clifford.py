@@ -9,18 +9,20 @@ Traces on the 2^n-dimensional left-regular module are Tr(L_{e_S}) =
 2^n Pf(B_S), B_S the Gram of the e_i, i in S (Wick's rule), so they need no
 matrix; the trace form is gathered by whole rows, phi-Grams sum its nonzero
 entries, and the projector to L reads e_j e_r in closed form.  The
-polarization search certifies det phi_a != 0 from det G and a scalar a^2,
-with no elimination.  Only 2^n x 2^n matrices are capped, at MATRIX_RANK_CAP.
+polarization search certifies det phi_a != 0 from det G and a scalar a^2 and
+builds no matrix, so it runs at any rank.  Only 2^n x 2^n matrices are capped,
+at MATRIX_RANK_CAP: left-regular matrices, the trace form and phi-Grams.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from itertools import compress
-from math import comb, gcd
+from functools import cached_property
+from itertools import combinations, compress
+from math import gcd
 from operator import add, itemgetter, mul, neg
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .lattices import Lattice
 from .linalg import IntMatrix, unimodular_inverse
@@ -98,8 +100,11 @@ class CliffordAlgebra:
         h = i or h is in K, so row I sums gathers c * row_{I-i}[m] over slots
         tabled once; it is 0 where deg I + deg K is odd with no test, as is
         row I-i at m (odd elements are traceless).  The reversal keeps traces,
-        so B'[I][K] = B'[K][I]: row I gathers K >= I and copies K < I."""
+        so B'[I][K] = B'[K][I]: row I gathers K >= I and copies K < I.
+        Capped at MATRIX_RANK_CAP, and so is every phi-Gram, which reads it."""
         if self._trace_form is None:
+            if self.n > MATRIX_RANK_CAP:
+                raise ValueError(f"rank {self.n} exceeds the matrix cap {MATRIX_RANK_CAP}")
             n, dim, g = self.n, 1 << self.n, self.g
             flip = [itemgetter(*[k ^ 1 << h for k in range(dim)]) for h in range(n)]  # dim >= 2: tuples
             sign = [[-1 if bin(k >> h + 1).count("1") % 2 else 1 for k in range(dim)] for h in range(n)]
@@ -284,14 +289,21 @@ def phi_a(x: CliffordElement, y: CliffordElement, a: CliffordElement) -> int:
 
 @dataclass(frozen=True)
 class PolarizationElement:
+    """a with phi_a alternating and nondegenerate, as certified by
+    `find_polarization_element`; its phi-Gram is built on first read."""
+
     element: CliffordElement
-    gram: IntMatrix
     candidates_tried: int = 0
 
-    def is_alternating(self) -> bool:
-        # row i of -G against column i of G, one at a time, so no second matrix is held
-        rows = [self.gram.row(i) for i in range(self.gram.rows)]
-        return all(tuple(map(neg, row)) == column for row, column in zip(rows, zip(*rows)))
+    @cached_property
+    def gram(self) -> IntMatrix:
+        """phi_gram(element), checked to be alternating: row i of -G against
+        column i of G, one at a time, so no second matrix is held."""
+        gram = phi_gram(self.element)
+        rows = [gram.row(i) for i in range(gram.rows)]
+        if not all(tuple(map(neg, row)) == column for row, column in zip(rows, zip(*rows))):
+            raise AssertionError("phi_a Gram is not alternating")
+        return gram
 
 
 def phi_gram(a: CliffordElement) -> IntMatrix:
@@ -301,12 +313,13 @@ def phi_gram(a: CliffordElement) -> IntMatrix:
     right multiplication by a; row I sums the rows K of R_a that `compress`
     picks, those with B'[I][K] != 0, so never a K of the other parity."""
     alg, dim = _algebra(a.host), 1 << a.host.rank
+    trace_form = alg.trace_form()  # first, so that the cap raises before R_a is built
     r_a: list[list[tuple[int, int]]] = [[] for _ in range(dim)]  # row K: the (J, c) with c e_K in e_J a
     for j in range(dim):
         for k, c in alg.mul({j: 1}, a.coeffs).items():
             r_a[k].append((j, c))
     out = []
-    for b_row in alg.trace_form():
+    for b_row in trace_form:
         acc = [0] * dim
         for b, r_a_row in compress(zip(b_row, r_a), b_row):
             for j, c in r_a_row:
@@ -315,35 +328,14 @@ def phi_gram(a: CliffordElement) -> IntMatrix:
     return IntMatrix._trusted(tuple(out), dim)
 
 
-def _anti_fixed(host: Lattice, masks: Iterable[int]) -> Iterable[CliffordElement]:
-    """e_S - reversal(e_S) over its content, for the S in masks where it is not 0."""
-    for mask in masks:
-        e_s = CliffordElement(host, {mask: 1})
-        w = e_s - reversal(e_s)
-        if not w.is_zero():
-            g = w.content()
-            yield CliffordElement(host, {m: c // g for m, c in w.coeffs.items()})
-
-
-def _anti_fixed_basis(host: Lattice) -> list[CliffordElement]:
-    """Primitive spanning elements of the -1 eigenspace of the reversal."""
-    out, seen = [], set()
-    for w in _anti_fixed(host, sorted(range(1, 1 << host.rank), key=lambda m: (bin(m).count("1"), m))):
-        key = tuple(sorted(w.coeffs.items()))
-        if key not in seen:
-            seen.update((key, tuple((m, -c) for m, c in key)))
-            out.append(w)
-    return out
-
-
 def find_polarization_element(host: Lattice) -> PolarizationElement:
     """Search for a with phi_a alternating and nondegenerate.
 
-    Candidates are the primitive -1 eigenvectors w_S of the reversal
-    (`_anti_fixed_basis`), by increasing |S| and then S, each times 1, -1, 2,
-    -2.  phi_a is antisymmetric for each, as the trace is cyclic and
-    reversal-invariant and reversal(a) = -a, and phi_gram(a) = B' R_a (see
-    `phi_gram`), so det phi_gram(a) = det B' det R_a in closed form:
+    Candidates are the -1 eigenvectors w_S = (e_S - reversal(e_S)) / 2 of the
+    reversal, for |S| = 2 and then 3, each by increasing mask S.  phi_a is
+    antisymmetric for each, as the trace is cyclic and reversal-invariant and
+    reversal(a) = -a, and phi_gram(a) = B' R_a (see `phi_gram`), so
+    det phi_gram(a) = det B' det R_a in closed form:
 
     - det B' = 2^(n 2^n) det(G)^(2^(n-1)).  Over Q take an orthogonal basis
       f = P e, of norms q_i.  reversal(f_S) f_T is a scalar times f_{S xor T},
@@ -356,36 +348,31 @@ def find_polarization_element(host: Lattice) -> PolarizationElement:
       phi_a is nondegenerate exactly when det G != 0 and c != 0.
     - For |S| = 2, 3 reversal is -1 on the blade e_{i1} ^ ... ^ e_{ik} and
       fixes the lower terms of e_S, so w_S is that blade, of square -det G_S
-      (G_S the principal minor on S); k w_S has square -k^2 det G_S.
+      (G_S the principal minor on S).
     - If det G != 0 and n >= 2, some G_S with |S| = 2, 3 is nonsingular:
       else g_ij^2 = g_ii g_jj and g_ij g_jk g_ik = g_ii g_jj g_kk for all
       i, j, k, so G = 0 if its diagonal is 0, and otherwise every
       g_jk = g_ij g_ik / g_ii for some g_ii != 0: G has rank <= 1.
 
-    So the search takes the first |S| = 2, 3 blade with c != 0, at
-    coefficient 1 after the four multiples of each earlier blade, builds its
-    phi-Gram, checks that it is alternating and eliminates nothing.  If
-    det G = 0, or n = 1, no candidate is nondegenerate; the error quotes the
-    whole candidate space, every multiple of a basis element or of a sum of
-    two.
+    So the search returns the first blade with c != 0, builds no matrix and
+    runs at any rank; `candidates_tried` counts it after the multiples 1, -1,
+    2 and -2 of each earlier blade.  If det G = 0 then det B' = 0, and if
+    n < 2 no a != 0 has reversal(a) = -a: there no phi_a of this kind is
+    nondegenerate, and the error names which reason holds.
     """
-    if host.rank > MATRIX_RANK_CAP:
-        raise ValueError(f"rank {host.rank} exceeds the phi-gram cap {MATRIX_RANK_CAP}")
-    coeff_choices = (1, -1, 2, -2)
-    if host.is_nondegenerate():
-        alg = _algebra(host)
-        blades = [m for k in (2, 3) for m in range(1 << host.rank) if bin(m).count("1") == k]
-        for i, w in enumerate(_anti_fixed(host, blades)):
-            if alg.mul(w.coeffs, w.coeffs).get(0, 0):
-                pol = PolarizationElement(w, phi_gram(w), len(coeff_choices) * i + 1)
-                if pol.is_alternating():
-                    return pol
-    basis = _anti_fixed_basis(host)
-    tried = len(coeff_choices) * len(basis) + len(coeff_choices) ** 2 * comb(len(basis), 2)
-    raise ValueError(
-        f"no polarization element found: searched {tried} candidates over "
-        f"{len(basis)} anti-fixed basis elements with support <= 2, "
-        f"coefficients in {coeff_choices}")
+    n = host.rank
+    if n < 2:
+        raise ValueError(f"no polarization element: rank {n} < 2, so no a != 0 has reversal(a) = -a")
+    if not host.is_nondegenerate():
+        raise ValueError("no polarization element: det G = 0, so det phi_a = 0 for every a")
+    alg, units = _algebra(host), [1 << i for i in range(n)]
+    masks = (mask for k in (2, 3) for mask in sorted(map(sum, combinations(units, k))))
+    for i, mask in enumerate(masks):
+        e_s = CliffordElement(host, {mask: 1})
+        w = CliffordElement(host, {m: c // 2 for m, c in (e_s - reversal(e_s)).coeffs.items()})
+        if alg.mul(w.coeffs, w.coeffs).get(0, 0):
+            return PolarizationElement(w, 4 * i + 1)
+    raise AssertionError("det G != 0, yet every 2- and 3-minor of G is 0")
 
 
 # ---------------------------------------------------------------------------

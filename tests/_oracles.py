@@ -9,7 +9,6 @@ from k3lattices.clifford import (
     CliffordAlgebra,
     CliffordElement,
     EndoMatrix,
-    _anti_fixed_basis,
     left_mul_matrix,
     reversal,
     trace_of_left_mul,
@@ -340,11 +339,28 @@ def project_endo_by_dense_loop(f: EndoMatrix, host: Lattice) -> tuple[int, ...]:
 POLARIZATION_COEFFS = (1, -1, 2, -2)
 
 
+def anti_fixed_basis(host: Lattice) -> list:
+    """Primitive spanning elements of the -1 eigenspace of the reversal:
+    e_S - reversal(e_S) over its content for every mask S != 0, by |S| and
+    then S, skipping 0 and one of each pair +-w."""
+    out, seen = [], set()
+    for mask in sorted(range(1, 1 << host.rank), key=lambda m: (bin(m).count("1"), m)):
+        e_s = CliffordElement(host, {mask: 1})
+        w = e_s - reversal(e_s)
+        if not w.is_zero():
+            g = w.content()
+            key = tuple(sorted((m, c // g) for m, c in w.coeffs.items()))
+            if key not in seen:
+                seen.update((key, tuple((m, -c) for m, c in key)))
+                out.append(CliffordElement(host, dict(key)))
+    return out
+
+
 def polarization_candidates(host: Lattice, max_support: int = 2):
     """(anti-fixed basis, candidates) in the order `find_polarization_element`
-    tries them: each basis element times each coefficient, then the sums of
+    counts them: each basis element times each coefficient, then the sums of
     two of them."""
-    basis = _anti_fixed_basis(host)
+    basis = anti_fixed_basis(host)
     candidates = [w.scale(c) for w in basis for c in POLARIZATION_COEFFS]
     if max_support >= 2:
         candidates += [basis[i].scale(ci) + basis[j].scale(cj)

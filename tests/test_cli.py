@@ -144,6 +144,23 @@ def test_clifford_mul_and_find_a():
     assert payload["a"]["terms"]
 
 
+def test_clifford_find_a_at_the_paper_rank():
+    for argv in (["lattice", "build", "k3"], ["lattice", "build", "l_d", "--d", "5"]):
+        code, built = run_cli(argv)
+        assert code == 0
+        code, out = run_cli(["clifford", "find-a"], stdin_text=built)
+        assert code == 0 and out.rstrip().endswith('"gram_det_nonzero":true}')
+        assert json.loads(out)["a"]["terms"] == [{"coeff": "1", "mask": 3}]
+
+
+def test_clifford_find_a_on_a_singular_gram_gives_one_error_line():
+    proc = subprocess.run([sys.executable, "-m", "k3lattices.cli", "clifford", "find-a"],
+                          input='{"rank":2,"gram":[[1,1],[1,1]]}',
+                          capture_output=True, text=True, env=fresh_process_env(), timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.splitlines() == ["error: no polarization element: det G = 0, so det phi_a = 0 for every a"]
+
+
 def test_clifford_project():
     host_obj = {"rank": 1, "gram": [[1]]}
     endo = [[0, 1], [1, 0]]  # left multiplication by e0 in C(<1>)

@@ -34,7 +34,7 @@ from k3lattices.clifford import (
     trace_of_left_mul,
     trace_pairing_identity,
 )
-from k3lattices.lattices import Lattice, direct_sum, e8, hyperbolic_u, k3_lattice, rank_one
+from k3lattices.lattices import Lattice, big_l, direct_sum, e8, hyperbolic_u, k3_lattice, l_d, rank_one
 from k3lattices.linalg import IntMatrix, det_exact
 
 I1 = rank_one(1)
@@ -213,7 +213,7 @@ def test_phi_bilinear():
 def test_find_polarization_i2():
     pol = find_polarization_element(I2)
     assert reversal(pol.element) == -pol.element
-    assert pol.is_alternating()
+    assert pol.gram == -pol.gram.transpose()
     assert det_exact(pol.gram) != 0
     rng = random.Random(29)
     for _ in range(200):
@@ -221,25 +221,34 @@ def test_find_polarization_i2():
         assert phi_a(x, x, pol.element) == 0
 
 
-def test_is_alternating_needs_antisymmetry_and_a_zero_diagonal():
+def test_is_alternating_needs_antisymmetry_and_a_zero_diagonal(monkeypatch):
+    # pol.gram checks what phi_gram returns, so a patched phi_gram feeds it
+    # each matrix; only the alternating ones come back
     pol = find_polarization_element(U)
     for rows, alternating in (([[0, 1], [-1, 0]], True), ([[0, 1], [1, 0]], False),
                               ([[1, 0], [0, -1]], False), ([[0, 2, -3], [-2, 0, 5], [3, -5, 0]], True),
                               ([[0, 2, -3], [-2, 0, 5], [3, -4, 0]], False)):
-        assert PolarizationElement(pol.element, IntMatrix(rows)).is_alternating() is alternating
+        monkeypatch.setattr(clifford, "phi_gram", lambda a, rows=rows: IntMatrix(rows))
+        fresh = PolarizationElement(pol.element)
+        if alternating:
+            assert fresh.gram == IntMatrix(rows)
+        else:
+            with pytest.raises(AssertionError, match="not alternating"):
+                fresh.gram
 
 
 def test_find_polarization_u():
     pol = find_polarization_element(U)
     assert reversal(pol.element) == -pol.element
-    assert pol.is_alternating()
+    assert pol.gram == -pol.gram.transpose()
     assert det_exact(pol.gram) != 0
     assert phi_gram(pol.element) == pol.gram
 
 
 def test_no_polarization_in_rank_one():
-    with pytest.raises(ValueError):
-        find_polarization_element(I1)
+    for host in (I1, rank_one(0), Lattice(0, IntMatrix([], cols=0))):
+        with pytest.raises(ValueError, match=f"^no polarization element: rank {host.rank} < 2"):
+            find_polarization_element(host)
 
 
 @st.composite
@@ -368,7 +377,7 @@ def test_search_accepts_the_first_blade_with_a_nonzero_square(monkeypatch):
     # for |S| = 2, 3 the basis element w_S is the blade on S, of square
     # -det G_S; the search takes the first S whose minor is nonzero, at
     # coefficient 1, after the four multiples of each earlier blade, and
-    # builds that one phi-Gram
+    # builds no phi-Gram; pol.gram builds that one, once
     built = []
 
     def counted(a):
@@ -389,6 +398,8 @@ def test_search_accepts_the_first_blade_with_a_nonzero_square(monkeypatch):
         built.clear()
         pol = find_polarization_element(host)
         assert (pol.element, pol.candidates_tried) == (basis[first], 4 * first + 1)
+        assert built == []
+        assert pol.gram is pol.gram
         assert built == [pol.element]
         if kind == "degenerate-plane":
             assert first >= 1
@@ -420,18 +431,17 @@ def test_find_polarization_matches_oracle():
     rng = random.Random(53)
     cases = [(2, "general"), (3, "general"), (4, "general"), (5, "general"), (6, "general"),
              (6, "degenerate-plane"), (2, "singular"), (3, "singular"),
-             # an early accept, and a failed search whose error quotes the
-             # length of the whole basis
+             # an early accept, and a search over the whole candidate space
+             # that finds nothing
              (5, "degenerate-plane"), (4, "singular")]
     for n, kind in cases:
         host = _seeded_host(rng, n, kind)
         try:
             expected = find_polarization_oracle(host)
-        except ValueError as err:
+        except ValueError:
             assert kind == "singular"
-            with pytest.raises(ValueError) as got:
+            with pytest.raises(ValueError, match="^no polarization element: det G = 0"):
                 find_polarization_element(host)
-            assert str(got.value) == str(err)
             continue
         pol = find_polarization_element(host)
         assert (pol.element, pol.gram, pol.candidates_tried) == expected
@@ -458,19 +468,40 @@ def test_find_polarization_rank_eight():
     pol = find_polarization_element(host)
     assert pol.element == CliffordElement(host, {0: 1, 3: 1})
     assert pol.candidates_tried == 1 and pol.gram.rows == 256
-    assert pol.is_alternating() and pol.gram == phi_gram(pol.element)
+    assert pol.gram == -pol.gram.transpose() and pol.gram == phi_gram(pol.element)
     assert host.is_nondegenerate() and pol.element * pol.element == CliffordElement.scalar(host, 9)
 
 
 def test_find_polarization_rank_nine_and_the_cap():
-    # rank 9 is inside MATRIX_RANK_CAP = 10; rank 11 is not
+    # rank 9 is inside MATRIX_RANK_CAP = 10; rank 11 is not, and there the
+    # search answers while every builder of a 4^n table raises
     host = _rank_test_host(9)
     pol = find_polarization_element(host)
     assert pol.element == CliffordElement(host, {0: 1, 3: 1})
-    assert pol.candidates_tried == 1 and pol.gram.rows == 512 and pol.is_alternating()
+    assert pol.candidates_tried == 1 and pol.gram.rows == 512 and pol.gram == -pol.gram.transpose()
     assert host.is_nondegenerate() and pol.element * pol.element == CliffordElement.scalar(host, -3)
-    with pytest.raises(ValueError, match="exceeds the phi-gram cap 10"):
-        find_polarization_element(direct_sum(*(rank_one(1) for _ in range(11))))
+    big = direct_sum(*(rank_one(1) for _ in range(11)))
+    pol = find_polarization_element(big)
+    assert pol.element == CliffordElement(big, {3: 1}) and pol.candidates_tried == 1
+    for build in (lambda: phi_gram(pol.element), clifford._algebra(big).trace_form, lambda: pol.gram):
+        with pytest.raises(ValueError, match="^rank 11 exceeds the matrix cap 10$"):
+            build()
+    assert clifford._algebra(big).table_sizes()["trace_form_rows"] == 0
+
+
+def test_find_polarization_at_the_paper_rank():
+    # the blade e_0 ^ e_1 = e_0 e_1 - b(0, 1) of Lambda, L_5 and L has square
+    # -det G_{01} != 0, so it is the first candidate, found with no trace form;
+    # a singular host of the same rank is refused from det G alone
+    for host in (k3_lattice(), l_d(5), big_l()):
+        pol = find_polarization_element(host)
+        assert pol.element == CliffordElement(host, {0: -host.gram[0, 1], 0b11: 1})
+        assert pol.candidates_tried == 1
+        square = pol.element * pol.element
+        assert set(square.coeffs) == {0} and square.coeffs[0] != 0
+        assert clifford._algebra(host).table_sizes()["trace_form_rows"] == 0
+    with pytest.raises(ValueError, match="^no polarization element: det G = 0"):
+        find_polarization_element(direct_sum(*(rank_one(1) for _ in range(20)), rank_one(0)))
 
 
 def test_square_certificate_matches_det_r_a():
@@ -503,19 +534,26 @@ def test_polarization_counters_and_table_sizes():
     host = direct_sum(U, rank_one(1))
     pol = find_polarization_element(host)
     assert pol.candidates_tried == 1
+    # the search reverses e_0 e_1, reading 1 * e_1 and e_1 e_0, and squares
+    # a = e_0 e_1 - 1: a e_0 reads e_0 e_1 e_0 and 1 * e_0, and a e_0 = e_0
+    # then reads e_0 e_1.  Those five products are all it tables; it builds
+    # no trace form and reads no Pfaffian
+    assert clifford._algebra(host).table_sizes() == {
+        "generator_products": 5, "pfaffians": 1, "trace_form_rows": 0}
+    pol.gram
     sizes = clifford._algebra(host).table_sizes()
     assert sizes["trace_form_rows"] == 8
-    # the search reads 14 of the 8 * 3 products e_mask e_j, all in the
+    # pol.gram reads 14 of the 8 * 3 products e_mask e_j, all in the
     # products e_J a of phi_gram, a = e_0 e_1 - 1: e_J e_0 for the 8 masks J,
     # then e_m e_1 for the 6 monomials m of those.  b(0, 0) = 0 and b(0, 1) is
     # the only nonzero b(0, h), so every term of e_J e_0 holds e_0 or lacks
-    # e_1: e_1 e_1 and e_1 e_2 e_1 are never read.  Reversing the accepted
-    # blade reads 1 * e_1 and e_1 e_0, both among these; nothing steps by e_2,
-    # and the trace form gathers its rows from the Gram and reads no product
+    # e_1: e_1 e_1 and e_1 e_2 e_1 are never read.  The five products of the
+    # search are among these; nothing steps by e_2, and the trace form
+    # gathers its rows from the Gram and reads no product
     assert sizes["generator_products"] == 14
     assert sizes["pfaffians"] == 8
-    # the default keeps the dataclass constructible from element and Gram alone
-    assert clifford.PolarizationElement(pol.element, pol.gram).candidates_tried == 0
+    # the default keeps the dataclass constructible from the element alone
+    assert clifford.PolarizationElement(pol.element).candidates_tried == 0
 
 
 def test_algebra_tables_freed_with_hosts():
@@ -542,13 +580,15 @@ def test_algebra_tables_freed_with_hosts():
 
 
 def test_phi_a_matches_oracle_on_both_routes():
-    # warm: read from the trace form that find_polarization_element built;
+    # warm: read from the trace form that pol.gram built;
     # fresh: generator steps and Pfaffians, with no trace form built
     rng = random.Random(97)
     for n in range(1, 8):
         warm, fresh = _seeded_host(rng, n, "general"), _seeded_host(rng, n, "general")
         if n > 1:
-            warm_a = find_polarization_element(warm).element
+            pol = find_polarization_element(warm)
+            pol.gram
+            warm_a = pol.element
         else:
             warm_a = random_element(rng, warm)
             clifford._algebra(warm).trace_form()
