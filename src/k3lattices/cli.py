@@ -79,24 +79,24 @@ def cmd_lattice_build(args):
 
 def cmd_lattice_info(args):
     lattice = ser.lattice_from_obj(_read_json(args))
-    sig = lattice.signature()
     info = {
         "rank": lattice.rank,
-        "signature": list(sig),
+        "signature": lattice.signature(),
         "disc": lattice.det(),
-        "disc_group": list(lat.discriminant_group(lattice).invariant_factors)
+        "disc_group": lat.discriminant_group(lattice).invariant_factors
         if lattice.is_nondegenerate() else None,
     }
     if args.table:
-        for key in ("rank", "signature", "disc", "disc_group"):
-            print(f"{key:12} {info[key]}")
+        for key in ("rank", "signature", "disc", "disc_group"):  # tuples print as lists, as in the JSON
+            value = info[key]
+            print(f"{key:12} {value if value is None else json.dumps(value)}")
         return
     _emit(args, info)
 
 
 def cmd_four_squares(args):
     witness = emb.four_squares(args.m)
-    _emit(args, {"m": witness.m, "parts": list(witness.parts)})
+    _emit(args, {"m": witness.m, "parts": witness.parts})
 
 
 def cmd_ld_in_l(args):
@@ -106,7 +106,7 @@ def cmd_ld_in_l(args):
 def cmd_vd(args):
     data = emb.v_d_in_k3(args.d, positive_norm=args.positive_norm)
     _emit(args, {
-        "vector": list(data.vector),
+        "vector": data.vector,
         "complement": ser.embedding_to_obj(data.complement),
         "iso_target": ser.lattice_to_obj(data.target),
         "iso_matrix": data.iso_matrix.tolists(),
@@ -130,14 +130,14 @@ def cmd_roots(args):
         "norm": report.norm,
         "count": report.count(),
         "complete": True,
-        "vectors": [list(v) for v in report.vectors],
+        "vectors": report.vectors,
     })
 
 
 def cmd_walls(args):
     lattice = ser.lattice_from_obj(_read_json(args))
     walls = roots.minus_two_walls_through(lattice, args.v)
-    _emit(args, {"v": list(args.v), "walls": [list(w) for w in walls]})
+    _emit(args, {"v": args.v, "walls": walls})
 
 
 def cmd_mindeg(args):
@@ -145,7 +145,7 @@ def cmd_mindeg(args):
     res = roots.min_polarization_degree(lattice, args.norm_limit, args.box)
     _emit(args, {
         "upper_bound": res.upper_bound,
-        "certificate": list(res.certificate) if res.certificate else None,
+        "certificate": res.certificate or None,
         "norm_limit": res.searched_norm_limit,
         "box": res.searched_box,
         "exhaustive": res.exhaustive,
@@ -225,13 +225,13 @@ def cmd_clifford(args):
             "inverse_numerator": ser.clifford_to_obj(pair.inverse_numerator),
             "denominator": pair.denominator,
             "preserves_lattice": report.preserves,
-            "images": [list(v) for v in report.images] if report.images else None,
+            "images": report.images or None,
         })
     elif args.op == "project":
         host = ser.lattice_from_obj(ser._field(payload, "lattice", what))
         entries = ser._parse_matrix(ser._field(payload, "endo", what))
         f = cl.EndoMatrix(entries.rows, entries)
-        _emit(args, {"vector": list(cl.project_endo_to_l(f, host))})
+        _emit(args, {"vector": cl.project_endo_to_l(f, host)})
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown clifford op {args.op}")
 
@@ -320,8 +320,8 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except (ValueError, AssertionError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, AssertionError, KeyError, json.JSONDecodeError, MemoryError) as exc:
+        print(f"error: {'out of memory' if isinstance(exc, MemoryError) else exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1

@@ -1,13 +1,16 @@
 """Shared JSON formats for lattices, embeddings, and Clifford elements.
 
-Output is deterministic: keys sorted, canonical separators, and integers
-whose magnitude exceeds 53 bits rendered as strings so that double-based
-JSON consumers cannot corrupt them (disable with raw_ints).
+Output is deterministic: keys sorted, canonical separators, and ints above
+2^53 in magnitude as strings (RFC 8259, section 6; disable with raw_ints).
+`dumps` renders a payload of ints, bools, None, strings, lists, tuples and
+dicts once, and only a text with a 16-digit run gets one regex pass, which
+quotes the int tokens above 2^53 but not the digits of a string or a float.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from typing import Any
 
 from .clifford import CliffordElement
@@ -15,24 +18,20 @@ from .lattices import Isometry, Lattice, LatticeEmbedding
 from .linalg import IntMatrix
 
 SAFE_INT = 1 << 53
+_LONG_DIGITS = re.compile(r"[0-9]{16}")
+_STRING_OR_LONG_INT = re.compile(r'"(?:[^"\\]|\\.)*"|(?<![.0-9])-?[0-9]{16,}(?!\.)')
 
 
-def _encode_ints(obj: Any, raw_ints: bool) -> Any:
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, int):
-        if not raw_ints and abs(obj) > SAFE_INT:
-            return str(obj)
-        return obj
-    if isinstance(obj, (list, tuple)):
-        return [_encode_ints(x, raw_ints) for x in obj]
-    if isinstance(obj, dict):
-        return {k: _encode_ints(v, raw_ints) for k, v in obj.items()}
-    return obj
+def _quote_unsafe(match: re.Match) -> str:
+    token = match.group()
+    return f'"{token}"' if token[0] != '"' and abs(int(token)) > SAFE_INT else token
 
 
 def dumps(payload: Any, raw_ints: bool = False) -> str:
-    return json.dumps(_encode_ints(payload, raw_ints), sort_keys=True, separators=(",", ":"))
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    if raw_ints or not _LONG_DIGITS.search(text):
+        return text
+    return _STRING_OR_LONG_INT.sub(_quote_unsafe, text)
 
 
 def _parse_int(x) -> int:

@@ -391,3 +391,20 @@ def find_polarization_oracle(host: Lattice, max_support: int = 2):
         f"no polarization element found: searched {len(candidates)} candidates over "
         f"{len(basis)} anti-fixed basis elements with support <= {max_support}, "
         f"coefficients in {POLARIZATION_COEFFS}")
+
+
+def encode_ints_oracle(obj, raw_ints: bool):
+    """The payload rebuilt with every int above 2^53 in magnitude as its
+    decimal string (unless raw_ints), tuples as lists, and everything else
+    as it is: one Python call per value, before `json.dumps` runs."""
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, int):
+        if not raw_ints and abs(obj) > 1 << 53:
+            return str(obj)
+        return obj
+    if isinstance(obj, (list, tuple)):
+        return [encode_ints_oracle(x, raw_ints) for x in obj]
+    if isinstance(obj, dict):
+        return {k: encode_ints_oracle(v, raw_ints) for k, v in obj.items()}
+    return obj

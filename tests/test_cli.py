@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3lattices import cli, clifford as cl, serialize as ser
+from _oracles import encode_ints_oracle
+from k3lattices import cli, clifford as cl, roots, serialize as ser
 from k3lattices.lattices import Lattice, direct_sum, hyperbolic_u, k3_lattice, rank_one, sublattice_embedding
 from k3lattices.linalg import IntMatrix
 
@@ -363,6 +364,52 @@ def test_big_int_string_rendering(tmp_path):
     assert json.loads(out)["gram"][0][0] == str(big)
     code, out = run_cli(["--raw-ints", "lattice", "build", "--file", str(path)])
     assert json.loads(out)["gram"][0][0] == big
+
+
+SAFE = 1 << 53
+edge_ints = st.one_of(
+    st.sampled_from([SAFE, -SAFE, SAFE + 1, -SAFE - 1, 0, -1]),
+    st.integers(10 ** 15, SAFE), st.integers(-SAFE, -10 ** 15),  # 16 digits, never quoted
+    st.integers(10 ** 19, 10 ** 40), st.integers(-10 ** 40, -10 ** 19),
+    st.integers(-1000, 1000))
+# digit runs, quotes, backslashes and non-ASCII text, which json.dumps escapes
+tricky_text = st.lists(st.sampled_from(
+    ['"', "\\", '\\"', "é", "中", "12345678901234567890", "-9007199254740993", "9007199254740992", "a", " "]),
+    max_size=6).map("".join) | st.text(max_size=8)
+# no handler emits a float, but a label read from input can carry one; these have 16+ digit runs
+long_floats = st.sampled_from([0.12345678901234568, 0.19999999999999998, -0.9999999999999999,
+                               9007199254740994.0, 1.2345678901234568e+16])
+leaves = edge_ints | tricky_text | st.booleans() | st.none() | st.floats() | long_floats
+payloads = st.recursive(leaves, lambda kids: st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+                        | st.dictionaries(tricky_text, kids, max_size=4), max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payloads, st.booleans())
+def test_dumps_matches_the_per_int_walk(payload, raw_ints):
+    want = json.dumps(encode_ints_oracle(payload, raw_ints), sort_keys=True, separators=(",", ":"))
+    assert ser.dumps(payload, raw_ints) == want
+
+
+def test_clifford_mul_quotes_big_gram_ints_but_not_coefficient_strings():
+    host = {"rank": 2, "gram": [[2, 1 << 60], [1 << 60, -2]], "label": "12345678901234567890"}
+    payload = json.dumps({"x": {**host, "terms": [{"mask": 1, "coeff": SAFE + 1}]},
+                          "y": {"terms": [{"mask": 2, "coeff": "3"}]}})
+    terms = '"rank":2,"terms":[{"coeff":"27021597764222979","mask":3}]}\n'
+    assert run_cli(["clifford", "mul"], payload) == (
+        0, '{"gram":[[2,"1152921504606846976"],["1152921504606846976",-2]],' + terms)
+    assert run_cli(["--raw-ints", "clifford", "mul"], payload) == (
+        0, '{"gram":[[2,1152921504606846976],[1152921504606846976,-2]],' + terms)
+
+
+def test_out_of_memory_gives_one_error_line(monkeypatch, capsys):
+    def exhausted(lattice, norm):
+        raise MemoryError
+
+    monkeypatch.setattr(roots, "short_vectors", exhausted)
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"rank":1,"gram":[[2]]}'))
+    assert cli.main(["roots", "--norm", "2"]) == 1
+    assert capsys.readouterr() == ("", "error: out of memory\n")
 
 
 def test_lattice_info_on_a_dense_six_by_six_gram(tmp_path):

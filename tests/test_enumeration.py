@@ -70,7 +70,7 @@ def test_rank3_includes_identity():
 
 @pytest.mark.parametrize("even_only", [False, True])
 def test_rank3_matches_seeber_box_oracle(even_only):
-    for d in (1, 8, 30, 60):
+    for d in (1, 4, 8, 30, 32, 60, 108):  # 2d is a cube at 4, 32 and 108: a = b = c reaches the bound
         forms = enumerate_lattices(3, d, even_only).forms
         got = {tuple(map(tuple, f.tolists())) for f in forms}
         assert len(got) == len(forms)

@@ -248,7 +248,7 @@ def test_short_vectors_every_field_width(monkeypatch):
 
     monkeypatch.setattr(roots, "iter_unpack", recorded)
     rng = random.Random(41)
-    cases = [(chain_skew(e8(), c), 2) for c in (0, 16, 2 ** 9, 2 ** 30, 2 ** 64, 2 ** 100)]
+    cases = [(chain_skew(e8(), c), 2) for c in (0, 16, 2 ** 9, 2 ** 30, 2 ** 60, 2 ** 64, 2 ** 100)]
     cases += [(chain_skew(direct_sum(e8(), e8()), 2 ** 70), 2), (rank_one(3), 27)]
     cases += [(random_posdef(rng, rng.randint(1, 6)), rng.randint(1, 10)) for _ in range(10)]
     wide = 0
@@ -259,7 +259,7 @@ def test_short_vectors_every_field_width(monkeypatch):
         assert set(vectors) == {tuple(-x for x in v) for v in vectors}
         assert all(type(v) is tuple and len(v) == lat.rank and all(type(x) is int for x in v) for v in vectors)
         wide += max((abs(x) for v in vectors for x in v), default=0) >> 62 > 0
-    assert set(formats) >= set("bhiq") and wide >= 3
+    assert set(formats) >= set("bhiq9") and wide >= 3  # ">9s": 2^60 skews E8 to fields of exactly 9 bytes
 
 
 def test_searches_leave_no_reference_cycles():
@@ -449,6 +449,17 @@ def test_box_candidates_pruned_walk_matches_oracle():
         assert 1 <= nodes <= full
         pruned += nodes < full
     assert min(kinds.values()) >= 30 and pruned >= 50
+    # small Grams of any signature: in 6 of these 300 draws the walk meets a subtree whose
+    # bound qt + up + reach is 1 and is attained, by a candidate of v^2 = 1
+    rng = random.Random(1)
+    for _ in range(300):
+        rank = rng.randint(2, 4)
+        g = [[0] * rank for _ in range(rank)]
+        for i in range(rank):
+            for j in range(i, rank):
+                g[i][j] = g[j][i] = rng.randint(-3, 3)
+        lat, box, norm_limit = Lattice(rank, IntMatrix(g)), rng.randint(1, 3), rng.randint(1, 12)
+        assert _box_candidates(lat, norm_limit, box)[0] == box_candidates_oracle(lat, norm_limit, box)
 
 
 def test_mindeg_u_e8_box_two_prunes_the_walk():

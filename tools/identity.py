@@ -70,8 +70,15 @@ Functions and their inputs:
   `cli.main` in-process with JSON on stdin: `lattice build` and `info`,
   `roots`, `walls` (with `--v -1,-2` after a space), `mindeg`,
   `verify-cert`, `complement`, `enumerate --csv`, malformed JSON and usage
-  errors.  The output is (exit code, stdout, stderr); `SystemExit` is caught
-  and its code recorded.  Help text wraps at `COLUMNS=80`.
+  errors.  Ints near and beyond 2^53 (2^53, 2^53 + 1, 16 digits below 2^53,
+  20 to 30 digits), with and without `--raw-ints`, reach: `lattice build
+  --file` (the Gram in a temporary file), `clifford mul` and `reversal`
+  (coefficients as JSON ints or strings, and one Gram entry), `embed
+  four-squares` and `embed vd` (m and d), and `clifford gspin` and `project`
+  (coordinates scaled by up to 10^20).  Labels echo long digit runs, quotes,
+  backslashes, non-ASCII text, and ints, floats and lists.  The output is
+  (exit code, stdout, stderr); `SystemExit` is caught and its code recorded.
+  Help text wraps at `COLUMNS=80`.
 """
 
 from __future__ import annotations
@@ -87,6 +94,7 @@ import os
 import random
 import signal
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -460,6 +468,30 @@ def block_gram(*blocks) -> list:
     return gram
 
 
+# labels echo into lattice outputs: long digit runs in strings, escapes, non-ASCII text, and
+# non-string JSON values, which the library keeps as they are
+LABELS = (None, "12345678901234567890", 'E8 "9007199254740993" \\ \u4e2d', "-90071992547409930",
+          9007199254740993, 0.19999999999999998, 9007199254740994.0, ["99999999999999999999", -(10 ** 20)])
+
+
+def big_int(rng: random.Random) -> int:
+    """A small int, 2^53, 2^53 + 1, 16 digits below 2^53, or 20 to 30 digits, of either sign."""
+    x = rng.choice((rng.randint(0, 3), 1 << 53, (1 << 53) + 1, rng.randint(10 ** 15, 1 << 53),
+                    rng.randint(10 ** 19, 10 ** 30)))
+    return rng.choice((1, -1)) * x
+
+
+def labelled(rng: random.Random, obj: dict) -> dict:
+    label = rng.choice(LABELS)
+    return obj if label is None else {**obj, "label": label}
+
+
+def clifford_terms(rng: random.Random, rank: int) -> list:
+    """Up to four terms with big coefficients, given as JSON ints or as strings."""
+    return [{"mask": rng.randrange(1 << rank), "coeff": rng.choice((big_int(rng), str(big_int(rng))))}
+            for _ in range(rng.randint(1, 4))]
+
+
 def cli_cases(rng: random.Random, count: int, pkg) -> list:
     """(argv, stdin text): every `--help`, then seeded commands on small lattices."""
     cli = importlib.import_module(f"{pkg.__name__}.cli")
@@ -476,7 +508,7 @@ def cli_cases(rng: random.Random, count: int, pkg) -> list:
                      for j, s in enumerate(b)] for k, r in enumerate(b)]
         hyperbolic = block_gram(u, *([[-2 * rng.randint(1, 3)]] for _ in range(rng.randint(0, 2))))
         vector = ",".join(str(rng.randint(-3, 3)) for _ in hyperbolic)
-        kind = rng.randrange(11)
+        kind = rng.randrange(15)
         if kind == 0:
             name = rng.choice(("k3", "e8", "u", "big-l", "l_d", "rank-one", None))
             argv = ["lattice", "build", *([name] if name else [])]
@@ -511,6 +543,47 @@ def cli_cases(rng: random.Random, count: int, pkg) -> list:
         elif kind == 8:
             text = lattice_json(definite)
             cases.append((["lattice", "info"], text[:rng.randrange(len(text))]))
+        elif kind == 11:  # the Gram read from a file, entries near and beyond 2^53
+            rank = rng.randint(1, 3)
+            gram = [[0] * rank for _ in range(rank)]
+            for i in range(rank):
+                for j in range(i, rank):
+                    gram[i][j] = gram[j][i] = big_int(rng)
+            argv = rng.choice(([], ["--raw-ints"])) + ["lattice", "build", "--file"]
+            cases.append((argv, json.dumps(labelled(rng, {"rank": rank, "gram": gram}))))
+        elif kind == 12:  # clifford products and reversals with big coefficients
+            rank = rng.randint(1, 3)
+            gram = clifford_gram(rng, rank, "general")
+            if rank > 1 and rng.random() < 0.5:
+                gram[0][1] = gram[1][0] = big_int(rng)
+            x = labelled(rng, {"rank": rank, "gram": gram, "terms": clifford_terms(rng, rank)})
+            raw = rng.choice(([], ["--raw-ints"]))
+            if rng.random() < 0.5:
+                y = {"terms": clifford_terms(rng, rank)}
+                cases.append((raw + ["clifford", "mul"], json.dumps({"x": x, "y": rng.choice((y, {**x, **y}))})))
+            else:
+                cases.append((raw + ["clifford", "reversal"], json.dumps(x)))
+        elif kind == 13:
+            m = rng.choice((rng.randint(-1, 200), rng.randint(1 << 53, 10 ** 30)))  # not 2^53: see CHANGES.md
+            d = rng.choice((rng.randint(0, 6), abs(big_int(rng))))
+            cases.append((rng.choice((["embed", "four-squares", "--m", str(m)], ["embed", "vd", "--d", str(d)],
+                                      ["embed", "vd", "--d", str(d), "--positive-norm"])), ""))
+        elif kind == 14:  # gspin pairs and projections, some with coordinates beyond 2^53
+            rank = rng.randint(1, 3)
+            scale = rng.choice((1, 1, 10 ** 9, 10 ** 20))
+            if rng.random() < 0.5:
+                host = {"rank": rank, "gram": clifford_gram(rng, rank, rng.choice(("general", "unimodular")))}
+                v, w = ([scale * rng.randint(-2, 2) for _ in range(rank)] for _ in range(2))
+                cases.append((["clifford", "gspin"], json.dumps({"lattice": host, "v": v, "w": w})))
+            else:
+                gram = clifford_gram(rng, rank, "unimodular")
+                element = pkg.CliffordElement(clifford_host(pkg, rank, gram),
+                                              {1 << k: scale * rng.randint(-3, 3) for k in range(rank)})
+                endo = pkg.left_mul_matrix(element).entries.tolists()
+                if rng.random() < 0.2:  # E_{0, e_0}: its trace 1 is not divisible by 2^n
+                    endo = [[int(r == 0 and k == 1) for k in range(1 << rank)] for r in range(1 << rank)]
+                cases.append((["clifford", "project"], json.dumps({"lattice": {"rank": rank, "gram": gram},
+                                                                   "endo": endo})))
         else:  # usage errors
             cases.append((rng.choice((["no-such-command"], ["roots"], ["roots", "--norm", "x"],
                                       ["walls", "--v", "a,b"], ["lattice"], ["lattice", "build", "e9"],
@@ -520,6 +593,11 @@ def cli_cases(rng: random.Random, count: int, pkg) -> list:
 
 def run_cli(pkg, case):
     argv, stdin_text = case
+    if argv[-1:] == ["--file"]:  # the input goes to a file, whose path follows --file
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "input.json")
+            path.write_text(stdin_text)
+            return run_cli(pkg, ([*argv, str(path)], ""))
     cli = importlib.import_module(f"{pkg.__name__}.cli")
     saved = sys.stdin, sys.stdout, sys.stderr
     sys.stdin, sys.stdout, sys.stderr = io.StringIO(stdin_text), io.StringIO(), io.StringIO()
