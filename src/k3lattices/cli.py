@@ -156,8 +156,7 @@ def cmd_verify_cert(args):
     lattice = ser.lattice_from_obj(_read_json(args))
     ok = roots.verify_certificate(lattice, args.v, args.degree)
     _emit(args, {"valid": ok})
-    if not ok:
-        sys.exit(1)
+    return 0 if ok else 1
 
 
 def cmd_disc_kernel(args):
@@ -232,8 +231,6 @@ def cmd_clifford(args):
         entries = ser._parse_matrix(ser._field(payload, "endo", what))
         f = cl.EndoMatrix(entries.rows, entries)
         _emit(args, {"vector": cl.project_endo_to_l(f, host)})
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown clifford op {args.op}")
 
 
 # ---------------------------------------------------------------------------
@@ -313,19 +310,17 @@ def main(argv=None) -> int:
             argv[i:i + 2] = [f"--v={argv[i + 1]}"]
     args = parser.parse_args(argv)
     try:
-        args.func(args)
+        code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
     except BrokenPipeError:  # the reader is gone: what is still buffered goes to devnull, not to a traceback
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except (ValueError, AssertionError, KeyError, json.JSONDecodeError, MemoryError) as exc:
+    except (ValueError, AssertionError, KeyError, MemoryError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {'out of memory' if isinstance(exc, MemoryError) else exc}", file=sys.stderr)
         return 1
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
-    return 0
+    return code or 0
 
 
 if __name__ == "__main__":

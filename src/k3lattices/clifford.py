@@ -448,8 +448,6 @@ def project_endo_to_l(f: EndoMatrix, host: Lattice) -> tuple[int, ...]:
     """
     if not host.is_unimodular():
         raise ValueError("integral projection needs a unimodular host")
-    if host.rank > MATRIX_RANK_CAP:
-        raise ValueError(f"rank {host.rank} exceeds the matrix cap {MATRIX_RANK_CAP}")
     n, dim = host.rank, 1 << host.rank
     if f.dim != dim:
         raise ValueError("endomorphism dimension does not match the host")

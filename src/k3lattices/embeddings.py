@@ -44,12 +44,18 @@ def four_squares(m: int) -> FourSquareWitness:
 
     Descending search from isqrt(m); the first hit under the z >= w >= v >= u
     constraint is the canonical witness.  The mod-8 obstruction for sums of
-    three squares prunes hopeless z early.
+    three squares prunes hopeless z early.  While 8 divides m > 0, the search
+    runs on m/4 and doubles the witness: a square is 0, 1 or 4 mod 8, so with
+    k odd squares the sum is k + 4j mod 8, which is 0 only for k = 0.  So
+    every witness of m is twice a witness of m/4, in the same order.
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    for z in range(isqrt(m), -1, -1):
-        r3 = m - z * z
+    n, scale = m, 1
+    while n % 8 == 0 and n > 0:
+        n, scale = n // 4, 2 * scale
+    for z in range(isqrt(n), -1, -1):
+        r3 = n - z * z
         if r3 > 3 * z * z:
             break  # z too small to dominate the remaining three squares
         t = r3
@@ -67,7 +73,7 @@ def four_squares(m: int) -> FourSquareWitness:
                     break
                 u = isqrt(r1)
                 if u * u == r1 and u <= v:
-                    return FourSquareWitness(m, (z, w, v, u))
+                    return FourSquareWitness(m, (scale * z, scale * w, scale * v, scale * u))
     raise AssertionError(f"four-square search failed for {m}")  # unreachable
 
 
@@ -88,9 +94,7 @@ def embed_ld_in_l(d: int) -> LatticeEmbedding:
     Identity on the common E8^2+U^2 block; the <2d> generator goes into
     <1>^5 through the four-square column.
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    source = l_d(d)
+    source = l_d(d)  # raises on d < 1
     target = big_l()
     small = embed_2d_in_i5(d)
     mat = IntMatrix.identity(20).block_diag(small.matrix)

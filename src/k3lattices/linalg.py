@@ -332,14 +332,12 @@ def det_exact(m: IntMatrix) -> int:
     the rows and the columns block by block makes the matrix block diagonal,
     so det = sgn(row order) sgn(column order) prod det(block); a block with
     more rows than columns (a zero row, say) makes it 0.  A matrix that is
-    one block runs Bareiss as it stands; up to 3 x 3, the cofactor formula.
+    one block runs Bareiss as it stands; 2 x 2 and 3 x 3 use cofactors.
     """
     if not m.is_square():
         raise ValueError("determinant of non-square matrix")
     rows = m._entries
     n = len(rows)
-    if n <= 1:
-        return rows[0][0] if n else 1
     if n == 2:
         (a, b), (c, d) = rows
         return a * d - b * c

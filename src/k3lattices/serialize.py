@@ -74,7 +74,10 @@ def lattice_to_obj(lat: Lattice) -> dict:
 def lattice_from_obj(obj: dict) -> Lattice:
     rank = _parse_int(_field(obj, "rank", "a lattice"))
     gram = _parse_matrix(_field(obj, "gram", "a lattice"))
-    return Lattice(rank, gram, obj.get("label"))
+    label = obj.get("label")
+    if label is not None and not isinstance(label, str):
+        raise ValueError(f"expected a string or null as a lattice label, got {type(label).__name__}")
+    return Lattice(rank, gram, label)
 
 
 def embedding_to_obj(emb: LatticeEmbedding) -> dict:

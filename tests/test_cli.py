@@ -47,6 +47,11 @@ def test_four_squares_command():
     assert json.loads(out) == {"m": 7, "parts": [2, 1, 1, 1]}
 
 
+def test_four_squares_command_at_two_to_the_53():
+    assert run_cli(["embed", "four-squares", "--m", str(1 << 53)]) == (
+        0, '{"m":9007199254740992,"parts":[67108864,67108864,0,0]}\n')
+
+
 def test_mindeg_default_on_u():
     code, built = run_cli(["lattice", "build", "u"])
     code, out = run_cli(["mindeg"], stdin_text=built)
@@ -89,8 +94,7 @@ def test_verify_cert_exit_codes():
     _, built = run_cli(["lattice", "build", "u"])
     code, out = run_cli(["verify-cert", "--v", "1,2", "--degree", "4"], stdin_text=built)
     assert code == 0 and json.loads(out)["valid"] is True
-    code, out = run_cli(["verify-cert", "--v", "1,1", "--degree", "2"], stdin_text=built)
-    assert code == 1 and json.loads(out)["valid"] is False
+    assert run_cli(["verify-cert", "--v", "1,1", "--degree", "2"], stdin_text=built) == (1, '{"valid":false}\n')
 
 
 def test_walls_command():
@@ -389,6 +393,25 @@ payloads = st.recursive(leaves, lambda kids: st.lists(kids, max_size=4) | st.lis
 def test_dumps_matches_the_per_int_walk(payload, raw_ints):
     want = json.dumps(encode_ints_oracle(payload, raw_ints), sort_keys=True, separators=(",", ":"))
     assert ser.dumps(payload, raw_ints) == want
+
+
+@pytest.mark.parametrize("label", [1.5, 7, [1], True])
+def test_non_string_label_gives_one_error_line(label, tmp_path, capsys):
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps({"rank": 1, "gram": [[2]], "label": label}))
+    assert run_cli(["lattice", "build", "--file", str(path)]) == (1, "")
+    kind = type(label).__name__
+    assert capsys.readouterr().err == f"error: expected a string or null as a lattice label, got {kind}\n"
+
+
+@pytest.mark.parametrize("label", ["E8 \"x\" 12345678901234567890", None])
+def test_string_and_null_labels_round_trip(label, tmp_path):
+    path = tmp_path / "lattice.json"
+    path.write_text(json.dumps({"rank": 1, "gram": [[2]], "label": label}))
+    code, out = run_cli(["lattice", "build", "--file", str(path)])
+    assert code == 0 and json.loads(out).get("label") == label
+    path.write_text(out)
+    assert run_cli(["lattice", "build", "--file", str(path)]) == (0, out)
 
 
 def test_clifford_mul_quotes_big_gram_ints_but_not_coefficient_strings():

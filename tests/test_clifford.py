@@ -733,6 +733,19 @@ def test_project_random_round_trips():
             assert project_endo_to_l(f, host) == v
 
 
+@pytest.mark.parametrize("n", [3, 11])
+def test_project_above_the_matrix_cap(n):
+    # f = 2^n E_{0, e_0} gives t = 2^n e_0, so c = G^-1 e_0 = e_1 on U + <1>^(n-2);
+    # the projector builds no 2^n x 2^n matrix, so rank 11 answers like rank 3
+    host = direct_sum(U, *(rank_one(1) for _ in range(n - 2)))
+    dim = 1 << n
+    rows = (tuple(dim if k == 1 else 0 for k in range(dim)),) + ((0,) * dim,) * (dim - 1)
+    f = EndoMatrix(dim, IntMatrix._trusted(rows, dim))
+    assert project_endo_to_l(f, host) == (0, 1) + (0,) * (n - 2)
+    if n <= 10:
+        assert project_endo_to_l(f, host) == project_endo_by_dense_loop(f, host)
+
+
 def test_project_requires_unimodular():
     amb = direct_sum(rank_one(2), rank_one(1))
     f = EndoMatrix(4, IntMatrix.identity(4))

@@ -51,7 +51,8 @@ def test_four_squares_99():
 
 
 def test_four_squares_small_exhaustive_vs_oracle():
-    for m in range(0, 200):
+    # wrong mod-8 pruning or a wrong step of the v loop first shows at m = 253, 254, 397 or 428
+    for m in range(0, 500):
         witness = four_squares(m)
         assert sum(x * x for x in witness.parts) == m
         assert witness.parts == max(four_squares_oracle(m))
@@ -64,6 +65,14 @@ def test_four_squares_validity_property(m):
     z, w, v, u = witness.parts
     assert z * z + w * w + v * v + u * u == m
     assert z >= w >= v >= u >= 0
+
+
+def test_four_squares_while_eight_divides_m():
+    # every witness of m is twice a witness of m/4 when 8 | m, so 2 * 4^k answers at once
+    for k in range(61):
+        assert four_squares(2 * 4 ** k).parts == (2 ** k, 2 ** k, 0, 0)
+    for m in range(8, 1001, 8):
+        assert four_squares(m).parts == max(four_squares_oracle(m))
 
 
 def test_four_squares_witness_validation():
@@ -154,5 +163,6 @@ def test_v_d_complement_isometry_range():
 
 def test_d_zero_rejected():
     for fn in (embed_2d_in_i5, embed_ld_in_l, v_d_in_k3):
-        with pytest.raises(ValueError):
-            fn(0)
+        for d in (0, -3):
+            with pytest.raises(ValueError, match="^d must be >= 1$"):
+                fn(d)

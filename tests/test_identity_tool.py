@@ -18,7 +18,7 @@ def test_identity_harness_agrees_with_itself():
     assert [name for name, *_ in rows] == ["move_primitive_vector", "move_long_coordinates",
                                           "smith_normal_form", "_smith_mod", "short_vectors",
                                           "eichler_transvection", "reflection", "enumerate_lattices",
-                                          "trace_form", "find_polarization_element", "phi_a",
+                                          "four_squares", "trace_form", "find_polarization_element", "phi_a",
                                           "project_endo_to_l", "cli"]
     for _, cases, finished, differ, left, right in rows:
         assert int(cases) == int(finished) > 0

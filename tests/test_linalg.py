@@ -237,6 +237,12 @@ def test_det_congruence_invariant():
         assert det_exact(w @ g @ w.transpose()) == det_exact(g)
 
 
+def test_det_up_to_one_by_one():
+    # no branch of its own: the block scan gives 1 on 0 x 0, 0 on a zero row, and x on [[x]]
+    assert det_exact(IntMatrix([], cols=0)) == 1
+    assert [det_exact(IntMatrix([[x]])) for x in (0, -7, 5)] == [0, -7, 5]
+
+
 def test_det_non_square_rejected():
     with pytest.raises(ValueError):
         det_exact(IntMatrix([[1, 2]]))

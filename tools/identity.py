@@ -51,6 +51,9 @@ Functions and their inputs:
   twenty asks for rank 0 or 4 or a negative bound, so that the error texts
   are compared too.  The output is (rank, max_disc, even_only, forms,
   discs()), or the list of hyperbolic Grams.
+- `four_squares`: m from 0 to 10^6, 10^6 to 10^30, 2 * 4^k (k <= 60) and 8
+  times an odd number up to 10^20, with a few negative m for the error text.
+  The output is (m, parts).
 - Clifford functions, on seeded hosts of rank 0 to 8 drawn like the hosts of
   the `clifford-pairing` workload (general: +-1..3 on the diagonal and +-1 on
   the cycle (i, i+1 mod n); unimodular: a +-1 diagonal under a bidiagonal
@@ -69,16 +72,23 @@ Functions and their inputs:
 - `cli`: `k3lat --help` of every parser path, and seeded argvs run through
   `cli.main` in-process with JSON on stdin: `lattice build` and `info`,
   `roots`, `walls` (with `--v -1,-2` after a space), `mindeg`,
-  `verify-cert`, `complement`, `enumerate --csv`, malformed JSON and usage
-  errors.  Ints near and beyond 2^53 (2^53, 2^53 + 1, 16 digits below 2^53,
-  20 to 30 digits), with and without `--raw-ints`, reach: `lattice build
-  --file` (the Gram in a temporary file), `clifford mul` and `reversal`
-  (coefficients as JSON ints or strings, and one Gram entry), `embed
-  four-squares` and `embed vd` (m and d), and `clifford gspin` and `project`
+  `verify-cert` (valid certificates, and invalid ones: a wrong degree, a
+  vector on a wall, a vector of the wrong length), `complement` and
+  `saturate` (columns scaled by up to 3), `check-disc-complement` (a
+  saturated sublattice of U+U or U+U+<-1>+<1> against its complement, or
+  against an unsaturated or mismatched right side), `disc-kernel` (signed
+  permutations on U+<2k>+<2j>, some of them no isometry), `embed ld-in-l`,
+  `clifford phi-a` and `find-a`, `enumerate` as JSON and as CSV, malformed
+  JSON and usage errors.  Ints near and beyond 2^53 (2^53, 2^53 + 1, 16
+  digits below 2^53, 20 to 30 digits), with and without `--raw-ints`,
+  reach: `lattice build --file` (the Gram in a temporary file), `clifford
+  mul` and `reversal` (coefficients as JSON ints or strings, and one Gram
+  entry), `embed four-squares` (m beyond 2^53, 2 * 4^k and 8 times an odd
+  number) and `embed vd` (d), and `clifford gspin` and `project`
   (coordinates scaled by up to 10^20).  Labels echo long digit runs, quotes,
-  backslashes, non-ASCII text, and ints, floats and lists.  The output is
-  (exit code, stdout, stderr); `SystemExit` is caught and its code recorded.
-  Help text wraps at `COLUMNS=80`.
+  backslashes, non-ASCII text, and ints, floats and lists, which are
+  refused.  The output is (exit code, stdout, stderr); `SystemExit` is
+  caught and its code recorded.  Help text wraps at `COLUMNS=80`.
 """
 
 from __future__ import annotations
@@ -341,6 +351,21 @@ def run_enumeration(pkg, case):
     return forms.rank, forms.max_disc, forms.even_only, [f.tolists() for f in forms.forms], forms.discs()
 
 
+def four_square_m(rng: random.Random) -> int:
+    """m up to 10^30, or 2 * 4^k (k <= 60), or 8 times an odd number."""
+    return rng.choice((rng.randint(0, 10 ** 6), rng.randint(10 ** 6, 10 ** 30), 2 * 4 ** rng.randint(0, 60),
+                       8 * (2 * rng.randint(0, 10 ** 20) + 1)))
+
+
+def four_square_cases(rng: random.Random, count: int, pkg) -> list:
+    return [-rng.randint(1, 9) if rng.random() < 0.05 else four_square_m(rng) for _ in range(count)]
+
+
+def run_four_squares(pkg, m):
+    witness = pkg.four_squares(m)
+    return witness.m, witness.parts
+
+
 CLIFFORD_KINDS = ("general", "unimodular", "degenerate-plane", "zero-diagonal", "singular")
 
 
@@ -457,6 +482,13 @@ def lattice_json(gram) -> str:
     return json.dumps({"rank": len(gram), "gram": gram})
 
 
+def embedding_obj(target, cols) -> dict:
+    """The embedding of the columns `cols` into the Gram `target`, with the source Gram B^T G B."""
+    source = [[sum(x * g * y for x, row in zip(c, target) for g, y in zip(row, c2)) for c2 in cols] for c in cols]
+    return {"source": {"rank": len(cols), "gram": source}, "target": {"rank": len(target), "gram": target},
+            "matrix": [list(r) for r in zip(*cols)]}
+
+
 def block_gram(*blocks) -> list:
     """The Gram of the orthogonal sum of the square blocks."""
     n = sum(len(b) for b in blocks)
@@ -508,7 +540,7 @@ def cli_cases(rng: random.Random, count: int, pkg) -> list:
                      for j, s in enumerate(b)] for k, r in enumerate(b)]
         hyperbolic = block_gram(u, *([[-2 * rng.randint(1, 3)]] for _ in range(rng.randint(0, 2))))
         vector = ",".join(str(rng.randint(-3, 3)) for _ in hyperbolic)
-        kind = rng.randrange(15)
+        kind = rng.randrange(20)
         if kind == 0:
             name = rng.choice(("k3", "e8", "u", "big-l", "l_d", "rank-one", None))
             argv = ["lattice", "build", *([name] if name else [])]
@@ -525,21 +557,23 @@ def cli_cases(rng: random.Random, count: int, pkg) -> list:
         elif kind == 4:
             argv = ["mindeg", "--box", str(rng.randint(1, 3)), "--norm-limit", str(rng.randint(1, 10))]
             cases.append((argv, lattice_json(hyperbolic)))
-        elif kind == 5:
-            argv = ["verify-cert", "--v", vector, "--degree", str(rng.randint(1, 12))]
+        elif kind == 5:  # v^2 is the right degree half of the time; (a, a, 0, ...) lies on the wall of (1, -1)
+            v = [int(x) for x in vector.split(",")]
+            if rng.random() < 0.25:
+                v = [rng.randint(1, 3)] * 2 + [0] * (len(v) - 2)
+            norm = sum(x * g * y for x, row in zip(v, hyperbolic) for g, y in zip(row, v))
+            degree = rng.choice((norm, norm, norm + 2, rng.randint(1, 12)))
+            if rng.random() < 0.15:  # one entry too short or too long
+                v = v[:-1] if rng.random() < 0.5 else v + [1]
+            argv = ["verify-cert", "--v", ",".join(map(str, v)), "--degree", str(degree)]
             cases.append((argv, lattice_json(hyperbolic)))
-        elif kind == 6:  # one or two columns B in U + U + <2k>, with the source Gram B^T G B
+        elif kind == 6:  # one or two columns in U + U + <2k>, some of them multiples
             target = block_gram(u, u, [[2 * rng.randint(1, 3)]])
-            cols = [[rng.randint(-2, 2) for _ in target] for _ in range(rng.randint(1, 2))]
-            source = [[sum(x * g * y for x, row in zip(c, target) for g, y in zip(row, c2)) for c2 in cols]
-                      for c in cols]
-            matrix = [list(r) for r in zip(*cols)]
-            payload = {"source": {"rank": len(cols), "gram": source},
-                       "target": {"rank": len(target), "gram": target}, "matrix": matrix}
-            cases.append((["complement"], json.dumps(payload)))
+            cols = [[c * rng.randint(-2, 2) for _ in target] for c in rng.choices((1, 1, 2, 3), k=rng.randint(1, 2))]
+            cases.append(([rng.choice(("complement", "saturate"))], json.dumps(embedding_obj(target, cols))))
         elif kind == 7:
             argv = ["enumerate", "--rank", str(rng.randint(1, 3)), "--max-disc", str(rng.randint(1, 12))]
-            cases.append((argv + rng.choice(([], ["--csv"], ["--even", "--csv"])), ""))
+            cases.append((argv + rng.choice(([], ["--even"], ["--csv"], ["--even", "--csv"])), ""))
         elif kind == 8:
             text = lattice_json(definite)
             cases.append((["lattice", "info"], text[:rng.randrange(len(text))]))
@@ -564,7 +598,7 @@ def cli_cases(rng: random.Random, count: int, pkg) -> list:
             else:
                 cases.append((raw + ["clifford", "reversal"], json.dumps(x)))
         elif kind == 13:
-            m = rng.choice((rng.randint(-1, 200), rng.randint(1 << 53, 10 ** 30)))  # not 2^53: see CHANGES.md
+            m = rng.choice((rng.randint(-1, 200), rng.randint(1 << 53, 10 ** 30), four_square_m(rng)))
             d = rng.choice((rng.randint(0, 6), abs(big_int(rng))))
             cases.append((rng.choice((["embed", "four-squares", "--m", str(m)], ["embed", "vd", "--d", str(d)],
                                       ["embed", "vd", "--d", str(d), "--positive-norm"])), ""))
@@ -584,6 +618,38 @@ def cli_cases(rng: random.Random, count: int, pkg) -> list:
                     endo = [[int(r == 0 and k == 1) for k in range(1 << rank)] for r in range(1 << rank)]
                 cases.append((["clifford", "project"], json.dumps({"lattice": {"rank": rank, "gram": gram},
                                                                    "endo": endo})))
+        elif kind == 15:  # a saturated vector of U + U (+ <-1> + <1>) against its complement, or a broken one
+            target = rng.choice((block_gram(u, u), block_gram(u, u, [[-1]], [[1]])))
+            col = [rng.randint(-2, 2) for _ in target]
+            col[0] = col[0] or 1
+            lattice = pkg.Lattice(len(target), pkg.IntMatrix(target))
+            left = pkg.saturate(pkg.sublattice_embedding(lattice, [col]))
+            right = pkg.orthogonal_complement(left).matrix.columns()
+            broken = rng.random()
+            if broken < 0.15:  # not saturated
+                right[0] = [2 * x for x in right[0]]
+            elif broken < 0.25:  # the ranks do not add up
+                right = right[1:]
+            payload = {"left": embedding_obj(target, left.matrix.columns()), "right": embedding_obj(target, right)}
+            cases.append((["check-disc-complement"], json.dumps(payload)))
+        elif kind == 16:  # signed permutations on U + <2k> + <2j>, some of them no isometry
+            target = block_gram(u, [[2 * rng.randint(1, 3)]], [[2 * rng.randint(1, 3)]])
+            perm = rng.choice(([0, 1, 2, 3], [1, 0, 2, 3], [0, 1, 3, 2], rng.sample(range(4), 4)))
+            signs = [rng.choice((1, -1)) for _ in perm]
+            matrix = [[signs[j] * (perm[j] == i) for j in range(4)] for i in range(4)]
+            cases.append((["disc-kernel"], json.dumps({"lattice": {"rank": 4, "gram": target}, "matrix": matrix})))
+        elif kind == 17:
+            cases.append((["embed", "ld-in-l", "--d", str(rng.randint(-2, 12))], ""))
+        elif kind == 18:  # phi_a(x, y, a) of elements of degree <= 2
+            rank = rng.randint(1, 4)
+            x, y, a = ({"terms": [{"mask": m, "coeff": c} for m, c in low_degree(rng, rank).items()]}
+                       for _ in range(3))
+            x.update(rank=rank, gram=clifford_gram(rng, rank, rng.choice(CLIFFORD_KINDS)))
+            cases.append((["clifford", "phi-a"], json.dumps({"x": x, "y": y, "a": a})))
+        elif kind == 19:
+            rank = rng.randint(0, 6)
+            host = {"rank": rank, "gram": clifford_gram(rng, rank, rng.choice(CLIFFORD_KINDS))}
+            cases.append((["clifford", "find-a"], json.dumps(host)))
         else:  # usage errors
             cases.append((rng.choice((["no-such-command"], ["roots"], ["roots", "--norm", "x"],
                                       ["walls", "--v", "a,b"], ["lattice"], ["lattice", "build", "e9"],
@@ -620,6 +686,7 @@ FUNCTIONS = {
     "eichler_transvection": (transvection_cases, run_transvection, 1.0),
     "reflection": (reflection_cases, run_reflection, 1.0),
     "enumerate_lattices": (enumeration_cases, run_enumeration, 0.2),
+    "four_squares": (four_square_cases, run_four_squares, 0.2),
     "trace_form": (clifford_cases, run_trace_form, 0.2),
     "find_polarization_element": (clifford_cases, run_find_a, 0.2),
     "phi_a": (phi_a_cases, run_phi_a, 0.3),
