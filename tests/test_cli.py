@@ -380,7 +380,7 @@ edge_ints = st.one_of(
 tricky_text = st.lists(st.sampled_from(
     ['"', "\\", '\\"', "é", "中", "12345678901234567890", "-9007199254740993", "9007199254740992", "a", " "]),
     max_size=6).map("".join) | st.text(max_size=8)
-# no handler emits a float, but a label read from input can carry one; these have 16+ digit runs
+# no handler emits a float, and labels read from input are strings; dumps still takes floats, these with 16+ digit runs
 long_floats = st.sampled_from([0.12345678901234568, 0.19999999999999998, -0.9999999999999999,
                                9007199254740994.0, 1.2345678901234568e+16])
 leaves = edge_ints | tricky_text | st.booleans() | st.none() | st.floats() | long_floats

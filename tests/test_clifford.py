@@ -744,6 +744,9 @@ def test_project_above_the_matrix_cap(n):
     assert project_endo_to_l(f, host) == (0, 1) + (0,) * (n - 2)
     if n <= 10:
         assert project_endo_to_l(f, host) == project_endo_by_dense_loop(f, host)
+    # an f of the wrong size is refused by its size, also above the old rank cap
+    with pytest.raises(ValueError, match="^endomorphism dimension does not match the host$"):
+        project_endo_to_l(EndoMatrix(4, IntMatrix.identity(4)), host)
 
 
 def test_project_requires_unimodular():

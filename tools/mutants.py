@@ -1,6 +1,6 @@
 """Mutation probe: which one-token changes of a function do the tests miss?
 
-    python tools/mutants.py MODULE FUNCTION TEST_FILE... [--timeout SEC]
+    python tools/mutants.py MODULE FUNCTION TEST_FILE...
 
 MODULE is a module of the k3lattices package (`linalg` or
 `k3lattices.linalg`), FUNCTION a function in it (`det_exact`) or a method
@@ -15,11 +15,12 @@ Each mutant changes one token inside the function:
 
 The function is rewritten from its syntax tree (`ast.unparse`, so its
 comments go) into a temporary copy of the repository (tests read files such
-as README.md); the working tree is never written.  The unmutated rewrite runs first; the tests that fail on
-it are named and deselected from then on.  Then pytest runs once per mutant,
-stopping at the first failure; a mutant is killed when the tests fail or run
-past `--timeout` seconds.  The tool prints one line per mutant (line:column
-of the changed token) and then the survivors, which are either gaps in the
+as README.md); the working tree is never written.  The unmutated rewrite
+runs first; the tests that fail on it are named and deselected from then
+on.  Then pytest runs once per mutant, stopping at the first failure; a
+mutant is killed when the tests fail or run past ten times the unmutated
+run plus 10 seconds.  The tool prints one line per mutant (line:column of
+the changed token) and then the survivors, which are either gaps in the
 tests or equivalent mutants.  It runs the mutants one at a time.
 """
 
@@ -87,11 +88,12 @@ def mutate(func, site) -> tuple[ast.AST, str]:
 
 
 def rewrite(source: str, func, replacement) -> str:
-    """source with the lines of func (from its `def`) replaced by the unparsed replacement."""
+    """source with the lines of func (from its first decorator) replaced by the unparsed replacement."""
     lines = source.splitlines(keepends=True)
+    start = min([decorator.lineno for decorator in func.decorator_list] + [func.lineno])
     indent = " " * func.col_offset
     body = "".join(indent + line + "\n" for line in ast.unparse(replacement).splitlines())
-    return "".join(lines[:func.lineno - 1]) + body + "".join(lines[func.end_lineno:])
+    return "".join(lines[:start - 1]) + body + "".join(lines[func.end_lineno:])
 
 
 def run_tests(tmp: Path, args: list[str], timeout: float) -> tuple[str, str]:
@@ -110,8 +112,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("module", help="a module of k3lattices, for example linalg")
     parser.add_argument("function", help="a function of that module, or Class.method")
     parser.add_argument("tests", nargs="+", help="test files, for example tests/test_linalg.py")
-    parser.add_argument("--timeout", type=float, default=0,
-                        help="seconds per mutant (default: ten times the unmutated run, plus 10)")
     args = parser.parse_args(argv)
     path = Path("src", "k3lattices", args.module.removeprefix("k3lattices.") + ".py")
     source = (ROOT / path).read_text()
@@ -130,7 +130,7 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         for test in failing:
             print(f"deselected, as it fails unmutated: {test}")
-        timeout = args.timeout or 10 * (time.perf_counter() - start) + 10
+        timeout = 10 * (time.perf_counter() - start) + 10
         selection = ["-x", *args.tests, *(f"--deselect={test}" for test in failing)]
         survivors, mutants = [], [mutate(func, site) for site in sites(func)]
         for mutant, what in mutants:
